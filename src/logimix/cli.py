@@ -224,8 +224,10 @@ def _build_parser():
     p_fit.add_argument("--max-iter", type=int, default=500)
     p_fit.add_argument("--rel-tol", type=float, default=1e-8)
     p_fit.add_argument("--n-restarts", type=int, default=5)
-    p_fit.add_argument("--m-step-iters", type=int, default=50)
-    p_fit.add_argument("--m-step-tol", type=float, default=1e-10)
+    p_fit.add_argument("--m-step-iters", type=int, default=50,
+                       help="most Newton steps per component in each M-step")
+    p_fit.add_argument("--m-step-tol", type=float, default=1e-10,
+                       help="an M-step stops once the norm of its gradient in (mu, log sigma) is below this")
     p_fit.set_defaults(func=_cmd_fit)
 
     p_check = sub.add_parser("check-id", help="identifiability reports")

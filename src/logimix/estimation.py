@@ -1,9 +1,13 @@
 """Maximum-likelihood fitting of logistic mixtures via generalized EM.
 
 There is no closed-form M-step for logistic components, so each M-step runs a
-short gradient ascent in (mu, log sigma) with a backtracking line search.
-Every accepted inner step improves the expected complete-data objective, which
-keeps the observed log-likelihood monotone up to floating-point slack.
+few damped Newton steps per component in (mu, log sigma), on the analytic
+gradient and Hessian of the responsibility-weighted log density.  A Levenberg
+shift is added whenever the negated Hessian is not positive definite, and a
+backtracking line search accepts a step only if it improves the objective.
+Every accepted inner step therefore improves the expected complete-data
+objective, which keeps the observed log-likelihood monotone up to
+floating-point slack (generalized EM).
 """
 
 import warnings
@@ -11,6 +15,7 @@ from dataclasses import dataclass
 from math import lgamma
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.special import logsumexp
 
 from ._util import log1p_sum_exp_neg, rng_from_seed, spawn_seeds
@@ -27,6 +32,10 @@ MAX_REINIT_ATTEMPTS = 3
 # Standard deviation of the unit-scale logistic law is pi/sqrt(3); the moment
 # rule for initial scales inverts that.
 LOGISTIC_SD_FACTOR = np.sqrt(3.0) / np.pi
+
+# First nonzero Levenberg shift of the Newton M-step; it is doubled until the
+# shifted matrix is positive definite.
+LEVENBERG_SEED = 1e-8
 
 
 @dataclass(frozen=True)
@@ -72,23 +81,13 @@ def responsibilities(x, model):
     """
     x = _as_points(x, model.p)
     single = x.ndim == 1
-    pts = x[None, :] if single else x
-    with np.errstate(over="ignore"):
-        lp = np.column_stack(
-            [np.log(w) + _comp_log_pdf(pts, c.mu, np.log(c.sigma))
-             for w, c in zip(model.weights, model.components)]
-        )
-    norm = logsumexp(lp, axis=1)
-    bad = ~np.isfinite(norm)
-    if np.any(bad):
+    resp, _, n_underflow = _e_step(x[None, :] if single else x, model)
+    if n_underflow:
         warnings.warn(
             "all mixture components underflowed; returning uniform responsibilities",
             RuntimeWarning,
         )
-        lp[bad] = 0.0
-        norm[bad] = np.log(model.s)
-    r = np.exp(lp - norm[:, None])
-    return r[0] if single else r
+    return resp[0] if single else resp
 
 
 def component_log_pdf_grad(x, params):
@@ -111,69 +110,118 @@ def component_log_pdf_grad(x, params):
 
 
 def _comp_log_pdf(data, mu, log_sigma):
-    """Per-row component log density for raw (mu, log sigma) arrays."""
-    sigma = np.exp(log_sigma)
-    z = (data - mu) / sigma
+    """Per-row component log density for raw (mu, log sigma) arrays.
+
+    Also returns the standardized residuals z and log(1 + sum_k exp(-z_k)),
+    which the M-step's derivatives are built from.
+    """
+    z = (data - mu) / np.exp(log_sigma)
+    log_denom = log1p_sum_exp_neg(z)
     p = mu.size
-    return (
-        lgamma(p + 1)
-        - np.sum(z, axis=-1)
-        - (p + 1) * log1p_sum_exp_neg(z)
-        - np.sum(log_sigma)
-    )
+    log_pdf = lgamma(p + 1) - np.sum(z, axis=-1) - (p + 1) * log_denom - np.sum(log_sigma)
+    return log_pdf, z, log_denom
 
 
-def _weighted_obj(data, resp, mu, log_sigma):
-    """Responsibility-weighted mean log density (same maximizer as the sum)."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return float(np.dot(resp, _comp_log_pdf(data, mu, log_sigma))) / resp.sum()
+def _weighted_obj_derivs(data, resp, mu, log_sigma):
+    """Objective, gradient and Hessian of the M-step in (mu, log sigma).
 
+    The objective is the responsibility-weighted mean log density, which has
+    the same maximizer as the weighted sum and keeps the natural Newton step
+    near unity regardless of the dataset size.  Parameters are ordered
+    (mu_1, ..., mu_p, log sigma_1, ..., log sigma_p).  With z = (x - mu)/sigma,
+    w_k = exp(-z_k)/(1 + sum_j exp(-z_j)) and g_k = (p+1) w_k - 1, a row's log
+    density has z-gradient g and z-Hessian H_z = (p+1)(w w' - diag w), so
 
-def _weighted_obj_grad(data, resp, mu, log_sigma):
-    sigma = np.exp(log_sigma)
-    z = (data - mu) / sigma
+        H = J' H_z J + sum_k g_k Hess(z_k)
+
+    with dz_k/dmu_k = -1/sigma_k, dz_k/dlog sigma_k = -z_k,
+    d2z_k/dmu_k dlog sigma_k = 1/sigma_k and d2z_k/dlog sigma_k^2 = z_k.
+    J' H_z J is (p+1)(u u' - J' diag(w) J) with u = -J' w; the weighted sums
+    of u u' go through one (2p, n) x (n, 2p) product and the diagonal terms
+    through per-coordinate sums, so no per-row 2p x 2p array is formed.
+    """
     p = mu.size
     total = resp.sum()
-    log_denom = log1p_sum_exp_neg(z)
-    obj = (
-        np.dot(resp, lgamma(p + 1) - np.sum(z, axis=-1) - (p + 1) * log_denom)
-        / total
-        - np.sum(log_sigma)
-    )
+    log_pdf, z, log_denom = _comp_log_pdf(data, mu, log_sigma)
+    obj = float(np.dot(resp, log_pdf)) / total
+    sigma = np.exp(log_sigma)
     w = np.exp(-z - log_denom[:, None])
-    base = 1.0 - (p + 1) * w
-    grad_mu = (resp @ base) / (total * sigma)
-    grad_logsigma = (resp @ (z * base)) / total - 1.0
-    return float(obj), grad_mu, grad_logsigma
+    zw = z * w
+    u = np.sqrt(resp)[:, None] * np.concatenate([w / sigma, zw], axis=1)
+    rw, rzw, rz, rzzw = resp @ w, resp @ zw, resp @ z, resp @ (zw * z)
+    rg = (p + 1) * rw - total  # sum_i r_i g_ik
+    rzg = (p + 1) * rzw - rz  # sum_i r_i z_ik g_ik
+    grad = -np.concatenate([rg / sigma, rzg + total]) / total
+    hess = (p + 1) * (u.T @ u)
+    k = np.arange(p)
+    hess[k, k] -= (p + 1) * rw / sigma**2
+    hess[k, p + k] -= ((p + 1) * rzw - rg) / sigma
+    hess[p + k, p + k] -= (p + 1) * rzzw - rzg
+    hess[p + k, k] = hess[k, p + k]
+    hess /= total
+    return obj, grad, hess
+
+
+def _newton_direction(grad, hess):
+    """Solve (lam I - H) d = grad through the Cholesky factor, lam being the
+    first of 0, LEVENBERG_SEED, 2 LEVENBERG_SEED, ... that gives a factor.
+
+    A non-finite Hessian counts as zero, so the shift alone sets a scaled
+    gradient step; if no finite shift works the direction is zero.
+    """
+    neg_h = -hess if np.all(np.isfinite(hess)) else np.zeros_like(hess)
+    eye = np.eye(grad.size)
+    lam = 0.0
+    while lam < np.inf:
+        try:
+            factor = cho_factor(neg_h + lam * eye, check_finite=False)
+        except LinAlgError:
+            lam = max(2.0 * lam, LEVENBERG_SEED)
+            continue
+        return cho_solve(factor, grad, check_finite=False)
+    return np.zeros_like(grad)
 
 
 def _ascend(data, resp, mu, log_sigma, iters, gtol):
-    """Backtracking gradient ascent on the responsibility-weighted objective.
+    """Damped Newton ascent of the M-step objective in (mu, log sigma).
 
-    The objective is the weighted mean log density, which keeps the natural
-    step near unity regardless of the dataset size.  Only improving steps are
-    accepted, so the objective never decreases.
+    Each step solves (lam I - H) d = g, where lam is a Levenberg shift added
+    (and doubled) only while -H is not positive definite or not finite; a
+    large shift turns d into a scaled gradient step.  The step length is
+    halved from 1 until the objective improves, and only an improving step is
+    accepted, so the objective never decreases and the observed
+    log-likelihood stays monotone (generalized EM).  Ascent stops after
+    ``iters`` steps, when the gradient norm falls below ``gtol``, when the
+    predicted gain g'd/2 is below the objective's rounding error, or when no
+    step length improves.
     """
-    obj, gmu, gls = _weighted_obj_grad(data, resp, mu, log_sigma)
-    for _ in range(iters):
-        gnorm = np.sqrt(gmu @ gmu + gls @ gls)
-        if gnorm < gtol:
-            break
-        step = 1.0
-        accepted = False
-        while step >= 2.0**-60:
-            cand_mu = mu + step * gmu
-            cand_ls = log_sigma + step * gls
-            cand_obj = _weighted_obj(data, resp, cand_mu, cand_ls)
-            if cand_obj > obj:
-                accepted = True
+    p = mu.size
+    theta = np.concatenate([mu, log_sigma])
+    # Typical rounding error of a mean of n terms: a smaller gain cannot be
+    # told apart from noise, and searching for it only burns evaluations.
+    noise = np.finfo(float).eps * np.sqrt(data.shape[0])
+    # Trial points may overflow; a non-finite objective is never accepted.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        obj, grad, hess = _weighted_obj_derivs(data, resp, mu, log_sigma)
+        for _ in range(iters):
+            if not np.sqrt(grad @ grad) >= gtol:
                 break
-            step *= 0.5
-        if not accepted:
-            break
-        mu, log_sigma = cand_mu, cand_ls
-        obj, gmu, gls = _weighted_obj_grad(data, resp, mu, log_sigma)
-    return mu, log_sigma
+            d = _newton_direction(grad, hess)
+            if not 0.5 * (grad @ d) > noise * max(1.0, abs(obj)):
+                break
+            step = 1.0
+            while step >= 2.0**-60:
+                cand = theta + step * d
+                cand_obj, cand_grad, cand_hess = _weighted_obj_derivs(
+                    data, resp, cand[:p], cand[p:]
+                )
+                if cand_obj > obj:
+                    break
+                step *= 0.5
+            else:
+                break
+            theta, obj, grad, hess = cand, cand_obj, cand_grad, cand_hess
+    return theta[:p], theta[p:]
 
 
 def init_params(data, s, seed, strategy="quantile"):
@@ -188,7 +236,12 @@ def init_params(data, s, seed, strategy="quantile"):
         raise ValueError("unknown strategy %r, expected one of %s" % (strategy, INIT_STRATEGIES))
     data = as_dataset(data)
     n, p = data.shape
-    scale = np.maximum(data.std(axis=0) * LOGISTIC_SD_FACTOR, 1e-6)
+    # Scaling each column by a power of two near its largest |x| keeps the
+    # squared deviations finite and, barring subnormal entries, leaves the
+    # result bit-for-bit unchanged.
+    _, exponent = np.frexp(np.max(np.abs(data), axis=0))
+    spread = np.ldexp(np.ldexp(data, -exponent).std(axis=0), exponent)
+    scale = np.maximum(spread * LOGISTIC_SD_FACTOR, 1e-6)
     if strategy == "quantile":
         qs = (np.arange(s) + 0.5) / s
         centers = np.quantile(data, qs, axis=0)
@@ -211,17 +264,24 @@ class _DegenerateComponent(Exception):
 
 
 def _e_step(data, model):
-    lp = np.column_stack(
-        [np.log(w) + _comp_log_pdf(data, c.mu, np.log(c.sigma))
-         for w, c in zip(model.weights, model.components)]
-    )
+    """Responsibilities, log-likelihood and number of underflowed rows.
+
+    A row at which every component density underflows to zero gets uniform
+    responsibilities and adds -1e300 to the log-likelihood, which keeps EM
+    traces finite and comparable.
+    """
+    with np.errstate(over="ignore"):
+        lp = np.column_stack(
+            [np.log(w) + _comp_log_pdf(data, c.mu, np.log(c.sigma))[0]
+             for w, c in zip(model.weights, model.components)]
+        )
     row_ll = logsumexp(lp, axis=1)
     bad = ~np.isfinite(row_ll)
     if np.any(bad):
         lp[bad] = -np.log(model.s)
         row_ll[bad] = -1e300
     resp = np.exp(lp - np.where(bad, 0.0, row_ll)[:, None])
-    return resp, float(row_ll.sum())
+    return resp, float(row_ll.sum()), int(bad.sum())
 
 
 def _em_single(data, config, seed, strategy, allow_degenerate):
@@ -229,7 +289,7 @@ def _em_single(data, config, seed, strategy, allow_degenerate):
     trace = []
     converged = False
     for _ in range(config.max_iter):
-        resp, loglik = _e_step(data, model)
+        resp, loglik, _ = _e_step(data, model)
         if trace and (loglik - trace[-1]) < config.rel_tol * max(1.0, abs(loglik)):
             trace.append(loglik)
             converged = True
@@ -258,7 +318,7 @@ def _em_single(data, config, seed, strategy, allow_degenerate):
         model = MixtureModel(weights, tuple(comps))
     else:
         # Cap reached: refresh the trace so it reflects the final model.
-        _, loglik = _e_step(data, model)
+        _, loglik, _ = _e_step(data, model)
         trace.append(loglik)
     return model, np.asarray(trace), converged
 

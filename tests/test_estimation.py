@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import logimix as lm
-from logimix.estimation import _weighted_obj_grad
+from logimix.estimation import _ascend, _weighted_obj_derivs
 
 from oracles import fd_log_pdf_gradients
 
@@ -114,9 +114,75 @@ class TestInit:
         with pytest.raises(ValueError):
             lm.init_params(data, 2, seed=0, strategy="random-rows")
 
+    def test_scale_rule_is_exact_moment_rule(self):
+        rng = np.random.default_rng(7)
+        data = rng.normal(loc=3.0, scale=[0.5, 40.0], size=(300, 2))
+        m = lm.init_params(data, 2, seed=0, strategy="quantile")
+        expected = data.std(axis=0) * np.sqrt(3.0) / np.pi
+        assert np.array_equal(m.components[0].sigma, expected)
+
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             lm.init_params(np.zeros((5, 1)), 1, seed=0, strategy="kmeans")
+
+
+def _mean_log_pdf(data, resp, mu, log_sigma):
+    """Reference M-step objective from the public density."""
+    comp = lm.MldParams(mu, np.exp(log_sigma))
+    return float(np.dot(resp, lm.mld_log_pdf(data, comp))) / resp.sum()
+
+
+def _newton_case(p, seed):
+    rng = np.random.default_rng(seed)
+    data = rng.logistic(size=(400, p)) * rng.uniform(0.5, 2.0, p) + rng.uniform(-1, 1, p)
+    resp = rng.uniform(size=400)
+    return data, resp, rng.normal(size=p), rng.normal(scale=0.3, size=p)
+
+
+class TestNewtonMStep:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_derivatives_match_finite_differences(self, p):
+        data, resp, mu, log_sigma = _newton_case(p, 40 + p)
+        theta = np.concatenate([mu, log_sigma])
+        obj, grad, hess = _weighted_obj_derivs(data, resp, mu, log_sigma)
+
+        def f(t):
+            return _mean_log_pdf(data, resp, t[:p], t[p:])
+
+        assert obj == pytest.approx(f(theta), rel=1e-12)
+        eps = 1e-5
+        e = np.eye(2 * p) * eps
+        fd_grad = np.array([(f(theta + e[i]) - f(theta - e[i])) / (2 * eps) for i in range(2 * p)])
+        fd_hess = np.array([
+            [(f(theta + e[i] + e[j]) - f(theta + e[i] - e[j])
+              - f(theta - e[i] + e[j]) + f(theta - e[i] - e[j])) / (4 * eps**2)
+             for j in range(2 * p)]
+            for i in range(2 * p)
+        ])
+        assert np.max(np.abs(grad - fd_grad)) < 1e-8
+        # A second difference carries rounding error of order eps_mach*|f|/eps**2.
+        assert np.max(np.abs(hess - fd_hess)) < 5e-5
+        assert np.allclose(hess, hess.T, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_ascent_never_lowers_objective(self, p):
+        data, resp, mu, log_sigma = _newton_case(p, 50 + p)
+        log_sigma = log_sigma + 1.5
+        values = [_mean_log_pdf(data, resp, mu, log_sigma)]
+        for iters in range(1, 8):
+            new_mu, new_ls = _ascend(data, resp, mu, log_sigma, iters, 1e-10)
+            values.append(_mean_log_pdf(data, resp, new_mu, new_ls))
+        assert np.all(np.diff(values) >= 0.0)
+
+    def test_far_too_wide_start_reaches_stationarity(self):
+        data, _ = lm.sample_mixture(
+            lm.MixtureModel([1.0], (lm.MldParams([0.7, -1.0], [1.4, 0.6]),)), 500, seed=41
+        )
+        resp = np.ones(data.shape[0])
+        mu, log_sigma = _ascend(data, resp, np.zeros(2), np.log([140.0, 60.0]), 50, 1e-10)
+        g_mu, g_ls = lm.component_log_pdf_grad(data, lm.MldParams(mu, np.exp(log_sigma)))
+        g_mu, g_ls = g_mu.mean(axis=0), g_ls.mean(axis=0)
+        assert np.sqrt(g_mu @ g_mu + g_ls @ g_ls) < 1e-6
 
 
 class TestEmFit:
@@ -129,10 +195,19 @@ class TestEmFit:
             lm.MixtureModel([1.0], (lm.MldParams([0.7], [1.4]),)), 500, seed=31
         )
         res = lm.em_fit(data, lm.FitConfig(s=1, n_restarts=1, m_step_iters=200, seed=0))
-        comp = res.model.components[0]
-        resp = np.ones(data.shape[0])
-        _, g_mu, g_ls = _weighted_obj_grad(data, resp, comp.mu, np.log(comp.sigma))
+        g_mu, g_ls = lm.component_log_pdf_grad(data, res.model.components[0])
+        g_mu, g_ls = g_mu.mean(axis=0), g_ls.mean(axis=0)
         assert np.sqrt(g_mu @ g_mu + g_ls @ g_ls) < 1e-6
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_outlier_fits_with_finite_parameters(self):
+        data = np.random.default_rng(44).logistic(size=(500, 1))
+        data[123, 0] = 1e200
+        res = lm.em_fit(data, lm.FitConfig(s=2, seed=0))
+        assert isinstance(res, lm.FitResult)
+        for comp in res.model.components:
+            assert np.all(np.isfinite(comp.mu)) and np.all(np.isfinite(comp.sigma))
+        assert np.all(np.isfinite(res.model.weights))
 
     def test_trace_monotone(self):
         rng = np.random.default_rng(32)
