@@ -64,8 +64,3 @@ def write_text_atomic(path, text):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def fmt17(x):
-    """Decimal text for a float with 17 significant digits (exact round trip)."""
-    return format(float(x), ".17g")

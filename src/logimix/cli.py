@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from ._util import fmt17, write_text_atomic
+from ._util import write_text_atomic
 from .estimation import FitConfig, em_fit
 from .identifiability import (
     GridSpec,
@@ -105,12 +105,7 @@ def _cmd_eval(args):
         pts = xs[:, None]
         pdf = np.atleast_1d(mixture_pdf(pts, model))
         cdf = np.atleast_1d(mixture_cdf(pts, model))
-        lines = ["# x,pdf,cdf"]
-        lines += [
-            "%s,%s,%s" % (fmt17(x), fmt17(d), fmt17(c))
-            for x, d, c in zip(xs, pdf, cdf)
-        ]
-        write_text_atomic(args.emit_plot_data, "\n".join(lines) + "\n")
+        save_dataset(np.column_stack([xs, pdf, cdf]), args.emit_plot_data, header="x,pdf,cdf")
     return 0
 
 

@@ -12,15 +12,13 @@ floating-point slack (generalized EM).
 
 import warnings
 from dataclasses import dataclass
-from math import lgamma
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.special import logsumexp
 
-from ._util import log1p_sum_exp_neg, rng_from_seed, spawn_seeds
-from .mixture import MixtureModel, WEIGHT_FLOOR, as_dataset
-from .mld import MldParams, _as_points
+from ._util import rng_from_seed, spawn_seeds
+from .mixture import MixtureModel, WEIGHT_FLOOR, _weighted_log_pdfs, as_dataset
+from .mld import MldParams, _as_points, _log_pdf_parts
 
 INIT_STRATEGIES = ("quantile", "random-rows")
 
@@ -99,27 +97,12 @@ def component_log_pdf_grad(x, params):
         d/d log sigma_k = z_k * (1 - (p+1) w_k) - 1
     """
     x = _as_points(x, params.p)
-    z = (x - params.mu) / params.sigma
-    p = params.p
-    log_denom = log1p_sum_exp_neg(z)
+    _, z, log_denom = _log_pdf_parts(x, params.mu, params.sigma)
     w = np.exp(-z - log_denom[..., None])
-    base = 1.0 - (p + 1) * w
+    base = 1.0 - (params.p + 1) * w
     grad_mu = base / params.sigma
     grad_logsigma = z * base - 1.0
     return grad_mu, grad_logsigma
-
-
-def _comp_log_pdf(data, mu, log_sigma):
-    """Per-row component log density for raw (mu, log sigma) arrays.
-
-    Also returns the standardized residuals z and log(1 + sum_k exp(-z_k)),
-    which the M-step's derivatives are built from.
-    """
-    z = (data - mu) / np.exp(log_sigma)
-    log_denom = log1p_sum_exp_neg(z)
-    p = mu.size
-    log_pdf = lgamma(p + 1) - np.sum(z, axis=-1) - (p + 1) * log_denom - np.sum(log_sigma)
-    return log_pdf, z, log_denom
 
 
 def _weighted_obj_derivs(data, resp, mu, log_sigma):
@@ -142,9 +125,9 @@ def _weighted_obj_derivs(data, resp, mu, log_sigma):
     """
     p = mu.size
     total = resp.sum()
-    log_pdf, z, log_denom = _comp_log_pdf(data, mu, log_sigma)
-    obj = float(np.dot(resp, log_pdf)) / total
     sigma = np.exp(log_sigma)
+    log_pdf, z, log_denom = _log_pdf_parts(data, mu, sigma)
+    obj = float(np.dot(resp, log_pdf)) / total
     w = np.exp(-z - log_denom[:, None])
     zw = z * w
     u = np.sqrt(resp)[:, None] * np.concatenate([w / sigma, zw], axis=1)
@@ -271,11 +254,8 @@ def _e_step(data, model):
     traces finite and comparable.
     """
     with np.errstate(over="ignore"):
-        lp = np.column_stack(
-            [np.log(w) + _comp_log_pdf(data, c.mu, np.log(c.sigma))[0]
-             for w, c in zip(model.weights, model.components)]
-        )
-    row_ll = logsumexp(lp, axis=1)
+        lp = _weighted_log_pdfs(data, model)
+    row_ll = np.logaddexp.reduce(lp, axis=-1)
     bad = ~np.isfinite(row_ll)
     if np.any(bad):
         lp[bad] = -np.log(model.s)

@@ -415,15 +415,19 @@ def _evaluation_grid(models, spec):
     return np.column_stack([a.ravel() for a in mesh])
 
 
+def _component_gap(ci, cj):
+    """max(|d mu|, |d log sigma|) over the coordinates of two components."""
+    return max(
+        np.max(np.abs(ci.mu - cj.mu)),
+        np.max(np.abs(np.log(ci.sigma) - np.log(cj.sigma))),
+    )
+
+
 def _param_distance_matrix(m1, m2):
     d = np.zeros((m1.s, m2.s))
     for i, ci in enumerate(m1.components):
         for j, cj in enumerate(m2.components):
-            d[i, j] = max(
-                np.max(np.abs(ci.mu - cj.mu)),
-                np.max(np.abs(np.log(ci.sigma) - np.log(cj.sigma))),
-                abs(m1.weights[i] - m2.weights[j]),
-            )
+            d[i, j] = max(_component_gap(ci, cj), abs(m1.weights[i] - m2.weights[j]))
     return d
 
 
@@ -483,11 +487,7 @@ def _random_model(p, s, rng, shared_scale, sigma=None, min_gap=MIN_PARAM_GAP):
                 for _ in range(s)
             ]
         ok = all(
-            max(
-                np.max(np.abs(ci.mu - cj.mu)),
-                np.max(np.abs(np.log(ci.sigma) - np.log(cj.sigma))),
-            )
-            >= min_gap
+            _component_gap(ci, cj) >= min_gap
             for ci, cj in itertools.combinations(comps, 2)
         )
         if ok:

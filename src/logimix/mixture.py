@@ -9,10 +9,9 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from ._util import fmt17, log1p_sum_exp_neg, open_uniform, rng_from_seed, spawn_seeds, write_text_atomic
-from .mld import MldParams, _as_points, _scalar_or_array, mld_log_pdf, sample
+from ._util import open_uniform, rng_from_seed, spawn_seeds, write_text_atomic
+from .mld import MldParams, _as_points, _cdf, _log_pdf_parts, _scalar_or_array, sample
 
 MODEL_FORMAT = "logimix-model-v1"
 
@@ -65,23 +64,27 @@ class MixtureModel:
 def mixture_cdf(x, model):
     """Weighted sum of component cdfs, clipped to [0, 1]."""
     x = _as_points(x, model.p)
-    out = 0.0
-    for w, comp in zip(model.weights, model.components):
-        z = (x - comp.mu) / comp.sigma
-        out = out + w * np.exp(-log1p_sum_exp_neg(z))
+    out = sum(w * _cdf(x, c.mu, c.sigma) for w, c in zip(model.weights, model.components))
     return _scalar_or_array(np.clip(out, 0.0, 1.0))
 
 
-def _component_log_pdfs(x, model):
-    """Stacked component log densities, shape (..., s)."""
-    x = _as_points(x, model.p)
-    return np.stack([mld_log_pdf(x, comp) for comp in model.components], axis=-1)
+def _weighted_log_pdfs(x, model):
+    """log pi_i + log l_i(x) for validated points x (..., p), shape (..., s).
+
+    ``mixture_log_pdf`` and the EM E-step both reduce this array over its last
+    axis, so the public log-likelihood and the EM trace are one computation.
+    """
+    return np.stack(
+        [np.log(w) + _log_pdf_parts(x, c.mu, c.sigma)[0]
+         for w, c in zip(model.weights, model.components)],
+        axis=-1,
+    )
 
 
 def mixture_log_pdf(x, model):
     """log sum_i pi_i l_i(x), via log-sum-exp over components."""
-    lp = _component_log_pdfs(x, model) + np.log(model.weights)
-    return _scalar_or_array(logsumexp(lp, axis=-1))
+    x = _as_points(x, model.p)
+    return _scalar_or_array(np.logaddexp.reduce(_weighted_log_pdfs(x, model), axis=-1))
 
 
 def mixture_pdf(x, model):
@@ -135,30 +138,9 @@ def model_to_dict(model):
     }
 
 
-def _model_json_text(model):
-    # Hand-rolled so floats carry 17 significant digits regardless of the
-    # json module's shortest-repr policy.
-    def vec(v):
-        return "[" + ", ".join(fmt17(x) for x in v) + "]"
-
-    comps = ",\n    ".join(
-        '{"mu": %s, "sigma": %s}' % (vec(c.mu), vec(c.sigma))
-        for c in model.components
-    )
-    return (
-        "{\n"
-        '  "format": "%s",\n' % MODEL_FORMAT
-        + '  "p": %d,\n' % model.p
-        + '  "s": %d,\n' % model.s
-        + '  "weights": %s,\n' % vec(model.weights)
-        + '  "components": [\n    %s\n  ]\n' % comps
-        + "}\n"
-    )
-
-
 def save_model(model, destination):
-    """Write the model as JSON (atomic rename, 17-significant-digit decimals)."""
-    write_text_atomic(destination, _model_json_text(model))
+    """Write the model as JSON (atomic rename; floats as their shortest exact repr)."""
+    write_text_atomic(destination, json.dumps(model_to_dict(model), indent=2) + "\n")
 
 
 def load_model(source):
@@ -239,6 +221,8 @@ def save_dataset(data, path, header=None):
     lines = []
     if header:
         lines.append("# " + header)
+    # Converting one row at a time keeps the Python floats' memory small;
+    # repr of a Python float is the shortest text that reads back exactly.
     for row in data:
-        lines.append(",".join(fmt17(v) for v in row))
+        lines.append(",".join(map(repr, row.tolist())))
     write_text_atomic(path, "\n".join(lines) + "\n")

@@ -15,6 +15,12 @@ All coordinates share the unit-scale logistic marginal after standardization.
 Points are arrays whose last axis holds the p coordinates; an input of shape
 (..., p) yields an output of shape (...).  For p == 1 plain scalars and flat
 arrays are accepted and treated elementwise.
+
+Both formulas are written once, in ``_log_pdf_parts`` (log density, with the
+standardized residuals and log(1 + sum_k exp(-z_k)) that the fitting code's
+derivatives reuse) and ``_cdf``.  The public functions here, the mixture
+functions and the EM code validate their input and then call these kernels;
+the ``standard_*`` functions are the location-scale ones at mu = 0, sigma = 1.
 """
 
 from dataclasses import dataclass
@@ -82,20 +88,38 @@ def _scalar_or_array(values):
     return float(values) if values.ndim == 0 else values
 
 
+def _log_pdf_parts(x, mu, sigma):
+    """Log density at points x of shape (..., p), without input checks.
+
+    This is the only place the MLD log density is written.  It also returns
+    the standardized residuals z and log(1 + sum_k exp(-z_k)), from which the
+    M-step's derivatives are built.
+    """
+    z = (x - mu) / sigma
+    log_denom = log1p_sum_exp_neg(z)
+    p = x.shape[-1]
+    log_pdf = lgamma(p + 1) - np.sum(z, axis=-1) - (p + 1) * log_denom - np.sum(np.log(sigma))
+    return log_pdf, z, log_denom
+
+
+def _cdf(x, mu, sigma):
+    """Joint cdf at points x of shape (..., p), without input checks or clipping.
+
+    This is the only place the MLD cdf is written.
+    """
+    return np.exp(-log1p_sum_exp_neg((x - mu) / sigma))
+
+
 def standard_cdf(x):
     """Joint cdf of the standard MLD: [1 + sum_k exp(-x_k)]^(-1)."""
     p = np.shape(np.atleast_1d(x))[-1]
-    x = _as_points(x, p)
-    out = np.exp(-log1p_sum_exp_neg(x))
-    return _scalar_or_array(np.clip(out, 0.0, 1.0))
+    return mld_cdf(x, MldParams(np.zeros(p), np.ones(p)))
 
 
 def standard_log_pdf(x):
     """log of the standard MLD density."""
     p = np.shape(np.atleast_1d(x))[-1]
-    x = _as_points(x, p)
-    out = lgamma(p + 1) - np.sum(x, axis=-1) - (p + 1) * log1p_sum_exp_neg(x)
-    return _scalar_or_array(out)
+    return mld_log_pdf(x, MldParams(np.zeros(p), np.ones(p)))
 
 
 def standard_pdf(x):
@@ -103,29 +127,17 @@ def standard_pdf(x):
     return _scalar_or_array(np.exp(standard_log_pdf(x)))
 
 
-def _standardize(x, params):
-    x = _as_points(x, params.p)
-    return (x - params.mu) / params.sigma
-
-
 def mld_cdf(x, params):
     """Location-scale MLD cdf: the standard cdf of (x - mu) / sigma."""
-    z = _standardize(x, params)
-    out = np.exp(-log1p_sum_exp_neg(z))
+    x = _as_points(x, params.p)
+    out = _cdf(x, params.mu, params.sigma)
     return _scalar_or_array(np.clip(out, 0.0, 1.0))
 
 
 def mld_log_pdf(x, params):
     """Log density of the location-scale MLD, stable for extreme residuals."""
-    z = _standardize(x, params)
-    p = params.p
-    out = (
-        lgamma(p + 1)
-        - np.sum(z, axis=-1)
-        - (p + 1) * log1p_sum_exp_neg(z)
-        - np.sum(np.log(params.sigma))
-    )
-    return _scalar_or_array(out)
+    x = _as_points(x, params.p)
+    return _scalar_or_array(_log_pdf_parts(x, params.mu, params.sigma)[0])
 
 
 def mld_pdf(x, params):

@@ -255,6 +255,11 @@ class TestEmFit:
             lm.log_likelihood(data, m), rel=1e-12
         )
 
+    def test_trace_ends_at_public_log_likelihood(self):
+        data, _ = lm.sample_mixture(reference_model(), 2000, seed=40)
+        res = lm.em_fit(data, lm.FitConfig(s=2, seed=1, n_restarts=1))
+        assert res.loglik_trace[-1] == lm.log_likelihood(data, res.model)
+
     def test_deterministic_given_seed(self):
         data, _ = lm.sample_mixture(reference_model(), 600, seed=39)
         r1 = lm.em_fit(data, lm.FitConfig(s=2, n_restarts=2, seed=7))

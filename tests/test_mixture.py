@@ -114,6 +114,20 @@ class TestEvaluation:
             if pdf > 1e-300:
                 assert np.exp(lm.mixture_log_pdf(x, m)) == pytest.approx(pdf, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "model, x",
+        [
+            (two_component_1d(), np.array([[-1e4], [1e4]])),
+            (random_model(np.random.default_rng(15), 3, 2), np.array([[1e4, -1e4, 5e3]])),
+        ],
+    )
+    def test_far_tail_log_pdf_is_finite_logaddexp(self, model, x):
+        assert np.all(lm.mixture_pdf(x, model) == 0.0)
+        log_pdf = lm.mixture_log_pdf(x, model)
+        assert np.all(np.isfinite(log_pdf))
+        a, b = (np.log(w) + lm.mld_log_pdf(x, c) for w, c in zip(model.weights, model.components))
+        np.testing.assert_allclose(log_pdf, np.logaddexp(a, b), rtol=1e-14, atol=0.0)
+
     def test_pdf_integrates_to_one(self):
         rng = np.random.default_rng(14)
         m1 = random_model(rng, 1, 3)
