@@ -25,8 +25,8 @@ from scipy.optimize import linear_sum_assignment, minimize
 from scipy.special import expit, roots_legendre
 
 from ._util import rng_from_seed, spawn_seeds
-from .mixture import MixtureModel, mixture_cdf, model_to_dict
-from .mld import MldParams, mld_cdf
+from .mixture import MixtureModel, _mixture_cdf, model_to_dict
+from .mld import MldParams, _cdf
 
 DISTINCT_GAP = 1e-3   # sup-norm gap above which two mixtures count as distinct
 EQUAL_GAP = 1e-9      # default gap below which they count as equal
@@ -158,17 +158,19 @@ def _gram_matrix(components, nodes):
 
     The substitution t = logistic_cdf(x) per coordinate absorbs the weight
     into the uniform measure on (0,1)^p, where tensor Gauss-Legendre applies.
+    Each component cdf is evaluated on the open grid of the per-axis nodes,
+    so its exponentials are taken once per axis node and each of the
+    nodes**p points costs p - 1 additions and one reciprocal.
     """
     p = components[0].p
     t, w = _unit_gl_nodes(nodes)
-    axes = np.meshgrid(*([t] * p), indexing="ij")
-    pts = np.column_stack([a.ravel() for a in axes])
-    x = np.clip(np.log(pts) - np.log1p(-pts), -40.0, 40.0)
+    x = np.clip(np.log(t) - np.log1p(-t), -40.0, 40.0)
+    grid = np.ix_(*([x] * p))
     wts = w
     for _ in range(p - 1):
         wts = np.multiply.outer(wts, w)
     wts = wts.ravel()
-    vals = np.stack([mld_cdf(x, c) for c in components])
+    vals = np.stack([_cdf(grid, c.mu, c.sigma).ravel() for c in components])
     gram = (vals * wts) @ vals.T
     return 0.5 * (gram + gram.T)
 
@@ -402,33 +404,36 @@ def collapse_pair(model, coord_pair, y_a, y_b):
 
 
 def _evaluation_grid(models, spec):
+    """Open tensor grid (``np.ix_``) of evenly spaced per-axis points.
+
+    Each axis spans every component's mu +- span * sigma; a span beyond the
+    float range raises ValueError.
+    """
     spec = spec or GridSpec()
-    p = models[0].p
-    los = np.full(p, np.inf)
-    his = np.full(p, -np.inf)
-    for m in models:
-        for c in m.components:
-            los = np.minimum(los, c.mu - spec.span * c.sigma)
-            his = np.maximum(his, c.mu + spec.span * c.sigma)
-    axes = [np.linspace(los[k], his[k], spec.points_per_axis) for k in range(p)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([a.ravel() for a in mesh])
+    comps = [c for m in models for c in m.components]
+    mu = np.array([c.mu for c in comps])
+    sigma = np.array([c.sigma for c in comps])
+    with np.errstate(over="ignore"):
+        los = np.min(mu - spec.span * sigma, axis=0)
+        his = np.max(mu + spec.span * sigma, axis=0)
+        bad = np.flatnonzero(~np.isfinite(his - los))
+    if bad.size:
+        raise ValueError(
+            "evaluation grid span mu +- %g sigma overflows the float range on coordinate %d"
+            % (spec.span, bad[0])
+        )
+    return np.ix_(*(np.linspace(lo, hi, spec.points_per_axis) for lo, hi in zip(los, his)))
 
 
-def _component_gap(ci, cj):
-    """max(|d mu|, |d log sigma|) over the coordinates of two components."""
-    return max(
-        np.max(np.abs(ci.mu - cj.mu)),
-        np.max(np.abs(np.log(ci.sigma) - np.log(cj.sigma))),
-    )
+def _component_gaps(comps1, comps2):
+    """max(|d mu|, |d log sigma|) over the coordinates, for every pair: shape (s1, s2)."""
+    a, b = (np.array([(c.mu, np.log(c.sigma)) for c in cs]) for cs in (comps1, comps2))
+    return np.max(np.abs(a[:, None] - b), axis=(-2, -1))
 
 
 def _param_distance_matrix(m1, m2):
-    d = np.zeros((m1.s, m2.s))
-    for i, ci in enumerate(m1.components):
-        for j, cj in enumerate(m2.components):
-            d[i, j] = max(_component_gap(ci, cj), abs(m1.weights[i] - m2.weights[j]))
-    return d
+    dw = np.abs(m1.weights[:, None] - m2.weights)
+    return np.maximum(_component_gaps(m1.components, m2.components), dw)
 
 
 def matched_param_distance(m1, m2):
@@ -451,7 +456,7 @@ def mixture_equality_test(m1, m2, grid_spec=None, dist_tol=EQUAL_GAP, param_tol=
     if m1.p != m2.p:
         raise ValueError("models have different dimensions %d and %d" % (m1.p, m2.p))
     grid = _evaluation_grid((m1, m2), grid_spec)
-    gap = float(np.max(np.abs(mixture_cdf(grid, m1) - mixture_cdf(grid, m2))))
+    gap = float(np.max(np.abs(_mixture_cdf(grid, m1) - _mixture_cdf(grid, m2))))
     max_gap, perm = matched_param_distance(m1, m2)
     return EqualityReport(
         sup_norm_cdf_gap=gap,
@@ -486,11 +491,8 @@ def _random_model(p, s, rng, shared_scale, sigma=None, min_gap=MIN_PARAM_GAP):
                 MldParams(rng.uniform(-3.0, 3.0, p), rng.uniform(0.5, 2.0, p))
                 for _ in range(s)
             ]
-        ok = all(
-            _component_gap(ci, cj) >= min_gap
-            for ci, cj in itertools.combinations(comps, 2)
-        )
-        if ok:
+        # The diagonal compares each component with itself.
+        if np.all((_component_gaps(comps, comps) >= min_gap) | np.eye(s, dtype=bool)):
             return MixtureModel(_random_weights(s, rng), tuple(comps))
     raise RuntimeError("failed to draw a separated random model")
 

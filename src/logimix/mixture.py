@@ -64,8 +64,17 @@ class MixtureModel:
 def mixture_cdf(x, model):
     """Weighted sum of component cdfs, clipped to [0, 1]."""
     x = _as_points(x, model.p)
-    out = sum(w * _cdf(x, c.mu, c.sigma) for w, c in zip(model.weights, model.components))
-    return _scalar_or_array(np.clip(out, 0.0, 1.0))
+    return _scalar_or_array(_mixture_cdf(np.moveaxis(x, -1, 0), model))
+
+
+def _mixture_cdf(coords, model):
+    """Clipped sum_i pi_i L_i at p coordinate arrays that broadcast together.
+
+    ``coords`` is what ``mld._cdf`` takes: the columns of validated points, or
+    the open per-axis vectors of a tensor grid.
+    """
+    out = sum(w * _cdf(coords, c.mu, c.sigma) for w, c in zip(model.weights, model.components))
+    return np.clip(out, 0.0, 1.0)
 
 
 def _weighted_log_pdfs(x, model):

@@ -16,11 +16,16 @@ Points are arrays whose last axis holds the p coordinates; an input of shape
 (..., p) yields an output of shape (...).  For p == 1 plain scalars and flat
 arrays are accepted and treated elementwise.
 
-Both formulas are written once, in ``_log_pdf_parts`` (log density, with the
-standardized residuals and log(1 + sum_k exp(-z_k)) that the fitting code's
-derivatives reuse) and ``_cdf``.  The public functions here, the mixture
-functions and the EM code validate their input and then call these kernels;
-the ``standard_*`` functions are the location-scale ones at mu = 0, sigma = 1.
+Both formulas are written once.  ``_log_pdf_parts`` gives the log density of
+(..., p) points, with the standardized residuals and log(1 + sum_k exp(-z_k))
+that the fitting code's derivatives reuse.  ``_cdf`` gives the cdf in its
+direct form 1 / (1 + sum_k exp((mu_k - x_k) / sigma_k)) and takes the
+coordinates as a sequence of p arrays that broadcast together: the columns of
+a point array, or the open per-axis vectors of a tensor grid (``np.ix_``), on
+which each exponential is taken once per axis node.  The public functions
+here, the mixture functions, the EM code and the identifiability grids
+validate their input and then call these kernels; the ``standard_*``
+functions are the location-scale ones at mu = 0, sigma = 1.
 """
 
 from dataclasses import dataclass
@@ -102,12 +107,19 @@ def _log_pdf_parts(x, mu, sigma):
     return log_pdf, z, log_denom
 
 
-def _cdf(x, mu, sigma):
-    """Joint cdf at points x of shape (..., p), without input checks or clipping.
+def _cdf(coords, mu, sigma):
+    """Joint cdf 1 / (1 + sum_k exp((mu_k - x_k) / sigma_k)), without input checks.
 
-    This is the only place the MLD cdf is written.
+    ``coords`` is a sequence of p coordinate arrays that broadcast together,
+    and the result has their broadcast shape.  This is the only place the MLD
+    cdf is written.  An exponential that overflows to +inf gives a cdf of
+    exactly 0; every term is non-negative, so no NaN can arise.
     """
-    return np.exp(-log1p_sum_exp_neg((x - mu) / sigma))
+    with np.errstate(over="ignore"):
+        total = 1.0
+        for xk, mk, sk in zip(coords, mu, sigma):
+            total = total + np.exp((mk - xk) / sk)
+        return 1.0 / total
 
 
 def standard_cdf(x):
@@ -130,8 +142,7 @@ def standard_pdf(x):
 def mld_cdf(x, params):
     """Location-scale MLD cdf: the standard cdf of (x - mu) / sigma."""
     x = _as_points(x, params.p)
-    out = _cdf(x, params.mu, params.sigma)
-    return _scalar_or_array(np.clip(out, 0.0, 1.0))
+    return _scalar_or_array(_cdf(np.moveaxis(x, -1, 0), params.mu, params.sigma))
 
 
 def mld_log_pdf(x, params):

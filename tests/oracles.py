@@ -5,6 +5,7 @@ differences, quadrature, alternative stochastic representations) so that the
 library code paths under test are never reused as their own reference.
 """
 
+import decimal
 import itertools
 
 import numpy as np
@@ -13,6 +14,21 @@ from scipy.integrate import dblquad, quad
 
 def logistic_cdf(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -700, 700)))
+
+
+def decimal_mld_cdf(x, mu, sigma, digits=40):
+    """Joint cdf [1 + sum_k exp(-(x_k - mu_k)/sigma_k)]^(-1) in ``digits``-digit decimal arithmetic.
+
+    The float inputs convert to decimals exactly, so the only error is the
+    decimal rounding, far below double precision.  Returns a float.
+    """
+    ctx = decimal.Context(prec=digits)
+    total = decimal.Decimal(1)
+    for xk, mk, sk in zip(x, mu, sigma):
+        z = ctx.divide(ctx.subtract(decimal.Decimal(float(xk)), decimal.Decimal(float(mk))),
+                       decimal.Decimal(float(sk)))
+        total = ctx.add(total, ctx.exp(-z))
+    return float(ctx.divide(decimal.Decimal(1), total))
 
 
 def frailty_sample(params, n, rng):

@@ -1,13 +1,25 @@
+import warnings
+
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import expit, roots_legendre
 
 import logimix as lm
+from logimix.identifiability import _param_distance_matrix
 from logimix.mixture import model_from_dict
 
 
 def mld1(mu, sigma):
     return lm.MldParams([mu], [sigma])
+
+
+def random_components(rng, p, s):
+    return tuple(lm.MldParams(rng.uniform(-2.0, 2.0, p), rng.uniform(0.05, 3.0, p)) for _ in range(s))
+
+
+def dense_grid(axes):
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.column_stack([a.ravel() for a in mesh])
 
 
 def shared_sigma_model(rng, p, s):
@@ -67,6 +79,18 @@ class TestGram:
         rep = lm.gram_min_eigenvalue(comps)
         assert rep.min_eigenvalue > 0
         assert rep.quadrature_converged
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_matches_dense_formulation(self, p):
+        comps = random_components(np.random.default_rng(20 + p), p, 3)
+        rep = lm.gram_min_eigenvalue(comps)
+        t, w = roots_legendre(rep.nodes_per_axis)
+        t, w = 0.5 * (t + 1.0), 0.5 * w
+        x = dense_grid([np.clip(np.log(t) - np.log1p(-t), -40.0, 40.0)] * p)
+        wts = np.prod(dense_grid([w] * p), axis=1)
+        vals = np.stack([lm.mld_cdf(x, c) for c in comps])
+        gram = (vals * wts) @ vals.T
+        np.testing.assert_allclose(rep.gram, 0.5 * (gram + gram.T), rtol=1e-12, atol=0.0)
 
     def test_rejects_high_dimension(self):
         comp = lm.MldParams(np.zeros(4), np.ones(4))
@@ -294,6 +318,49 @@ class TestEqualityTest:
         assert not rep.equal_parameters
         assert rep.max_param_gap == pytest.approx(1e-5, rel=1e-6)
         assert rep.equal_distribution is False or rep.sup_norm_cdf_gap >= 0
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_grid_gap_matches_dense_mixture_cdf(self, p):
+        rng = np.random.default_rng(30 + p)
+        m1, m2 = (lm.MixtureModel(rng.dirichlet(np.ones(2)), random_components(rng, p, 2)) for _ in range(2))
+        comps = m1.components + m2.components
+        lo = np.min([c.mu - 10.0 * c.sigma for c in comps], axis=0)
+        hi = np.max([c.mu + 10.0 * c.sigma for c in comps], axis=0)
+        pts = dense_grid([np.linspace(lo[k], hi[k], 41) for k in range(p)])
+        dense_gap = np.max(np.abs(lm.mixture_cdf(pts, m1) - lm.mixture_cdf(pts, m2)))
+        rep = lm.mixture_equality_test(m1, m2)
+        assert rep.sup_norm_cdf_gap > 1e-3
+        assert rep.sup_norm_cdf_gap == pytest.approx(dense_gap, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("mu, sigma, coord", [
+        ([0.0], [1e308], 0),
+        ([0.0, 0.0], [1.0, 1e308], 1),
+        ([1.7e308, 0.0], [1.0, 1.0], 0),
+    ])
+    def test_overflowing_grid_span_raises_clear_error(self, mu, sigma, coord):
+        p = len(mu)
+        m1 = lm.MixtureModel([0.5, 0.5], (lm.MldParams(mu, sigma), lm.MldParams(-np.abs(mu), np.ones(p))))
+        m2 = lm.MixtureModel([1.0], (lm.MldParams(np.zeros(p), np.ones(p)),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="span .* overflows the float range on coordinate %d" % coord):
+                lm.mixture_equality_test(m1, m2)
+
+    def test_param_distance_matrix_matches_pairwise_loop(self):
+        rng = np.random.default_rng(12)
+        for p, s1, s2 in ((1, 2, 3), (2, 3, 3), (3, 4, 2)):
+            m1, m2 = (
+                lm.MixtureModel(rng.dirichlet(np.ones(s)), random_components(rng, p, s))
+                for s in (s1, s2)
+            )
+            ref = np.array([
+                [max(np.max(np.abs(ci.mu - cj.mu)),
+                     np.max(np.abs(np.log(ci.sigma) - np.log(cj.sigma))),
+                     abs(wi - wj))
+                 for wj, cj in zip(m2.weights, m2.components)]
+                for wi, ci in zip(m1.weights, m1.components)
+            ])
+            assert np.array_equal(_param_distance_matrix(m1, m2), ref)
 
     def test_dimension_mismatch(self):
         m1 = lm.MixtureModel([1.0], (mld1(0.0, 1.0),))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp, kstest
@@ -5,6 +7,7 @@ from scipy.stats import ks_2samp, kstest
 import logimix as lm
 
 from oracles import (
+    decimal_mld_cdf,
     frailty_sample,
     mixed_central_fd,
     quad_normalization_1d,
@@ -117,6 +120,46 @@ class TestLocationScale:
                 bumped = x.copy()
                 bumped[k] += 0.37
                 assert lm.mld_cdf(bumped, params) >= lm.mld_cdf(x, params)
+
+
+class TestCdfAccuracy:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_matches_decimal_oracle(self, p):
+        # Dyadic inputs make x - mu and the division by a power-of-two sigma
+        # exact, so the check sees the kernel's own rounding; the cdf's
+        # condition number in x is about |z|, which would otherwise amplify
+        # the rounding of inexact inputs up to 700-fold.
+        rng = np.random.default_rng(40 + p)
+        worst = 0.0
+        checked = 0
+        for half_width in (700.0, 40.0):
+            for _ in range(150):
+                mu = np.round(rng.uniform(-5.0, 5.0, p) * 2**20) / 2**20
+                sigma = 2.0 ** rng.integers(-3, 4, p)
+                z = np.round(rng.uniform(-half_width, half_width, p) * 2**20) / 2**20
+                x = mu + sigma * z
+                assert np.array_equal((x - mu) / sigma, z)
+                exact = decimal_mld_cdf(x, mu, sigma)
+                if exact > 1e-300:
+                    got = lm.mld_cdf(x, lm.MldParams(mu, sigma))
+                    worst = max(worst, abs(got - exact) / exact)
+                    checked += 1
+        assert checked >= 150
+        assert worst < 1e-14
+
+    def test_far_tails_are_exact_and_silent(self):
+        hi, lo = 1e300, -1e300
+        pts = np.array([[hi, hi, hi], [lo, hi, hi], [hi, lo, lo], [lo, lo, lo], [0.0, hi, lo]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sigma in (1e-300, 1.0, 1e300):
+                for mu in (0.0, hi, lo):
+                    params = lm.MldParams(np.full(3, mu), np.full(3, sigma))
+                    vals = np.asarray(lm.mld_cdf(pts, params))
+                    assert not np.any(np.isnan(vals))
+                    assert np.all((vals >= 0.0) & (vals <= 1.0))
+            tiny = lm.MldParams(np.zeros(3), np.full(3, 1e-300))
+            assert lm.mld_cdf(pts, tiny).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
 
 
 class TestMarginals:
