@@ -17,6 +17,7 @@ from ._util import write_text_atomic
 from .estimation import FitConfig, em_fit
 from .identifiability import (
     GridSpec,
+    _evaluation_grid,
     collapse_pair,
     gram_min_eigenvalue,
     identifiability_trial,
@@ -99,9 +100,7 @@ def _cmd_eval(args):
     if args.emit_plot_data:
         if model.p != 1:
             raise _CliError("--emit-plot-data requires a one-dimensional model")
-        lo = min(c.mu[0] - 10.0 * c.sigma[0] for c in model.components)
-        hi = max(c.mu[0] + 10.0 * c.sigma[0] for c in model.components)
-        xs = np.linspace(lo, hi, 401)
+        xs = _evaluation_grid((model,), GridSpec(points_per_axis=401))[0]
         pts = xs[:, None]
         pdf = np.atleast_1d(mixture_pdf(pts, model))
         cdf = np.atleast_1d(mixture_cdf(pts, model))
@@ -117,8 +116,6 @@ def _cmd_fit(args):
         rel_tol=args.rel_tol,
         n_restarts=args.n_restarts,
         seed=args.seed,
-        m_step_iters=args.m_step_iters,
-        m_step_tol=args.m_step_tol,
     )
     result = em_fit(data, config)
     save_model(result.model, args.out)
@@ -210,7 +207,7 @@ def _build_parser():
     p_eval.add_argument("--emit-plot-data", help="CSV of (x, pdf, cdf) for 1-D models")
     p_eval.set_defaults(func=_cmd_eval)
 
-    p_fit = sub.add_parser("fit", help="maximum-likelihood EM fit")
+    p_fit = sub.add_parser("fit", help="maximum-likelihood EM fit (the M-step's limits are fixed)")
     p_fit.add_argument("--data", required=True)
     p_fit.add_argument("--s", type=int, required=True)
     p_fit.add_argument("--seed", type=int, default=0)
@@ -219,10 +216,6 @@ def _build_parser():
     p_fit.add_argument("--max-iter", type=int, default=500)
     p_fit.add_argument("--rel-tol", type=float, default=1e-8)
     p_fit.add_argument("--n-restarts", type=int, default=5)
-    p_fit.add_argument("--m-step-iters", type=int, default=50,
-                       help="most Newton steps per component in each M-step")
-    p_fit.add_argument("--m-step-tol", type=float, default=1e-10,
-                       help="an M-step stops once the norm of its gradient in (mu, log sigma) is below this")
     p_fit.set_defaults(func=_cmd_fit)
 
     p_check = sub.add_parser("check-id", help="identifiability reports")
@@ -249,7 +242,6 @@ def _build_parser():
     p_collapse.add_argument("--coords", required=True, help="two 0-based indices, e.g. 0,1")
     p_collapse.add_argument("--offsets", required=True, help="two reals, e.g. 0.0,0.0")
     p_collapse.add_argument("--out", required=True)
-    p_collapse.add_argument("--seed", type=int, default=0)
     p_collapse.set_defaults(func=_cmd_collapse)
 
     p_probe = sub.add_parser("probe-open", help="exploratory near-collision search")

@@ -35,24 +35,35 @@ LOGISTIC_SD_FACTOR = np.sqrt(3.0) / np.pi
 # shifted matrix is positive definite.
 LEVENBERG_SEED = 1e-8
 
+# Most Newton steps per component in one M-step.  The predicted-gain rule in
+# `_ascend` ends almost every ascent first; the cap binds only while a scale
+# collapses towards zero on degenerate data.
+MAX_NEWTON_STEPS = 50
+
+# An ascent whose gradient norm is below this stops before the Cholesky solve.
+# On every fit measured the predicted-gain rule stopped those ascents at the
+# same step anyway; the early exit only saves the solve, which is measurable
+# on many small fits.
+NEWTON_GTOL = 1e-10
+
 
 @dataclass(frozen=True)
 class FitConfig:
+    """EM settings; the M-step's own limits are MAX_NEWTON_STEPS and NEWTON_GTOL."""
+
     s: int
     max_iter: int = 500
     rel_tol: float = 1e-8
     n_restarts: int = 5
     seed: int = 0
-    m_step_iters: int = 50
-    m_step_tol: float = 1e-10
 
     def __post_init__(self):
         if self.s < 1:
             raise ValueError("s must be at least 1")
-        if min(self.max_iter, self.n_restarts, self.m_step_iters) < 1:
+        if min(self.max_iter, self.n_restarts) < 1:
             raise ValueError("iteration and restart counts must be positive")
-        if min(self.rel_tol, self.m_step_tol) <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.rel_tol <= 0:
+            raise ValueError("rel_tol must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +176,7 @@ def _newton_direction(grad, hess):
     return np.zeros_like(grad)
 
 
-def _ascend(data, resp, mu, log_sigma, iters, gtol):
+def _ascend(data, resp, mu, log_sigma, iters=MAX_NEWTON_STEPS):
     """Damped Newton ascent of the M-step objective in (mu, log sigma).
 
     Each step solves (lam I - H) d = g, where lam is a Levenberg shift added
@@ -173,10 +184,10 @@ def _ascend(data, resp, mu, log_sigma, iters, gtol):
     large shift turns d into a scaled gradient step.  The step length is
     halved from 1 until the objective improves, and only an improving step is
     accepted, so the objective never decreases and the observed
-    log-likelihood stays monotone (generalized EM).  Ascent stops after
-    ``iters`` steps, when the gradient norm falls below ``gtol``, when the
-    predicted gain g'd/2 is below the objective's rounding error, or when no
-    step length improves.
+    log-likelihood stays monotone (generalized EM).  Ascent stops when the
+    predicted gain g'd/2 is below the objective's rounding error (or, before
+    solving, when the gradient norm is below NEWTON_GTOL), when no step
+    length improves, or after ``iters`` steps.
     """
     p = mu.size
     theta = np.concatenate([mu, log_sigma])
@@ -187,7 +198,7 @@ def _ascend(data, resp, mu, log_sigma, iters, gtol):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         obj, grad, hess = _weighted_obj_derivs(data, resp, mu, log_sigma)
         for _ in range(iters):
-            if not np.sqrt(grad @ grad) >= gtol:
+            if not np.sqrt(grad @ grad) >= NEWTON_GTOL:
                 break
             d = _newton_direction(grad, hess)
             if not 0.5 * (grad @ d) > noise * max(1.0, abs(obj)):
@@ -242,10 +253,6 @@ def init_params(data, s, seed, strategy="quantile"):
     return MixtureModel(np.full(s, 1.0 / s), comps)
 
 
-class _DegenerateComponent(Exception):
-    pass
-
-
 def _e_step(data, model):
     """Responsibilities, log-likelihood and number of underflowed rows.
 
@@ -265,6 +272,8 @@ def _e_step(data, model):
 
 
 def _em_single(data, config, seed, strategy, allow_degenerate):
+    """One EM run, (model, trace, converged); None once a component starves,
+    unless ``allow_degenerate``, which freezes starved components instead."""
     model = init_params(data, config.s, seed, strategy)
     trace = []
     converged = False
@@ -278,7 +287,7 @@ def _em_single(data, config, seed, strategy, allow_degenerate):
         totals = resp.sum(axis=0)
         if np.any(totals < DEGENERATE_RESP_TOTAL):
             if not allow_degenerate:
-                raise _DegenerateComponent()
+                return None
             # Out of retries: freeze the starved component for this iteration.
             starved = totals < DEGENERATE_RESP_TOTAL
         else:
@@ -290,10 +299,7 @@ def _em_single(data, config, seed, strategy, allow_degenerate):
             if starved[i]:
                 comps.append(comp)
                 continue
-            mu, log_sigma = _ascend(
-                data, resp[:, i], comp.mu, np.log(comp.sigma),
-                config.m_step_iters, config.m_step_tol,
-            )
+            mu, log_sigma = _ascend(data, resp[:, i], comp.mu, np.log(comp.sigma))
             comps.append(MldParams(mu, np.exp(log_sigma)))
         model = MixtureModel(weights, tuple(comps))
     else:
@@ -316,19 +322,17 @@ def em_fit(data, config):
         )
     best = None
     for r, restart_seed in enumerate(spawn_seeds(config.seed, config.n_restarts)):
-        strategy = "quantile" if r == 0 else "random-rows"
+        # A starved start is retried from fresh random rows; the last attempt
+        # freezes starved components instead of giving up.
         attempt_seeds = [restart_seed] + spawn_seeds(restart_seed, MAX_REINIT_ATTEMPTS)
-        outcome = None
         for a, attempt_seed in enumerate(attempt_seeds):
-            try:
-                outcome = _em_single(
-                    data, config, attempt_seed, strategy,
-                    allow_degenerate=(a == len(attempt_seeds) - 1),
-                )
+            strategy = "quantile" if r == a == 0 else "random-rows"
+            outcome = _em_single(
+                data, config, attempt_seed, strategy,
+                allow_degenerate=(a == MAX_REINIT_ATTEMPTS),
+            )
+            if outcome is not None:
                 break
-            except _DegenerateComponent:
-                strategy = "random-rows"
-                continue
         model, trace, converged = outcome
         if best is None or trace[-1] > best[0] + 1e-12:
             best = (trace[-1], model, trace, converged)

@@ -17,6 +17,7 @@ distributions.  This module probes that property from several angles:
 """
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,7 +40,6 @@ class LinearCombination:
 
     coeffs: np.ndarray
     components: tuple
-    fixed_scale: bool = False
 
     def __post_init__(self):
         coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
@@ -51,8 +51,6 @@ class LinearCombination:
         p = comps[0].p
         if any(c.p != p for c in comps):
             raise ValueError("components must share one dimension")
-        if self.fixed_scale and not _shared_sigma(comps):
-            raise ValueError("fixed_scale set but component scales differ")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "components", comps)
@@ -138,6 +136,13 @@ class GridSpec:
     points_per_axis: int = 41
     span: float = 10.0
 
+    def __post_init__(self):
+        n, span = self.points_per_axis, self.span
+        if not (isinstance(n, numbers.Integral) and n >= 2):
+            raise ValueError("GridSpec.points_per_axis must be an integer >= 2, got %r" % (n,))
+        if not (isinstance(span, numbers.Real) and np.isfinite(span) and span > 0):
+            raise ValueError("GridSpec.span must be finite and positive, got %r" % (span,))
+
 
 def _shared_sigma(components, rtol=1e-12):
     ref = components[0].sigma
@@ -216,15 +221,24 @@ def gram_min_eigenvalue(components, weightfn_spec="product-logistic", nodes_per_
 # One-dimensional combination probes
 
 
+def _combination_values(coeffs, components, x, sign):
+    """sum_i d_i * expit(sign * (x - mu_i)/sigma_i) for one-dimensional components.
+
+    scipy's expit, not mld._cdf: the two differ by up to one ulp, and expit
+    keeps subnormal tails.
+    """
+    x = np.asarray(x, dtype=float)
+    out = 0.0
+    for d, comp in zip(coeffs, components):
+        out = out + d * expit(sign * (x - comp.mu[0]) / comp.sigma[0])
+    return float(out) if np.ndim(out) == 0 else out
+
+
 def evaluate_combination(lc, x):
     """sum_i d_i * L_i(x) for one-dimensional components."""
     if lc.p != 1:
         raise ValueError("combination evaluation requires one-dimensional components")
-    x = np.asarray(x, dtype=float)
-    out = 0.0
-    for d, comp in zip(lc.coeffs, lc.components):
-        out = out + d * expit((x - comp.mu[0]) / comp.sigma[0])
-    return float(out) if np.ndim(out) == 0 else out
+    return _combination_values(lc.coeffs, lc.components, x, 1.0)
 
 
 def tail_coefficient_sum(lc, x_probe):
@@ -251,15 +265,7 @@ def reflect_combination(lc):
         )
     coeffs = lc.coeffs.copy()
     comps = lc.components
-
-    def reflected(x):
-        x = np.asarray(x, dtype=float)
-        out = 0.0
-        for d, comp in zip(coeffs, comps):
-            out = out + d * expit(-(x - comp.mu[0]) / comp.sigma[0])
-        return float(out) if np.ndim(out) == 0 else out
-
-    return reflected
+    return lambda x: _combination_values(coeffs, comps, x, -1.0)
 
 
 def vandermonde_check(mus, sigmas):
@@ -314,6 +320,16 @@ def vandermonde_check(mus, sigmas):
 # Dimension collapse for shared-scale models
 
 
+def _coordinate_pair(coord_pair, p, too_few):
+    """The pair (a, b) as ints, checked against p; ``too_few`` is the p < 2 message."""
+    a, b = (int(coord_pair[0]), int(coord_pair[1]))
+    if p < 2:
+        raise ValueError(too_few)
+    if not (0 <= a < p and 0 <= b < p) or a == b:
+        raise ValueError("coordinate pair (%d, %d) invalid for p=%d" % (a, b, p))
+    return a, b
+
+
 def _require_shared_sigma(components, what):
     if not _shared_sigma(components):
         raise ValueError("%s requires all components to share one scale vector" % what)
@@ -336,12 +352,7 @@ def find_separating_offsets(components, coord_pair, seed):
     Tries (0, 0) first, then up to 1000 uniform draws from [-5, 5]^2.
     """
     components = tuple(components)
-    a, b = (int(coord_pair[0]), int(coord_pair[1]))
-    p = components[0].p
-    if p < 2:
-        raise ValueError("need at least two coordinates")
-    if not (0 <= a < p and 0 <= b < p) or a == b:
-        raise ValueError("coordinate pair (%d, %d) invalid for p=%d" % (a, b, p))
+    a, b = _coordinate_pair(coord_pair, components[0].p, "need at least two coordinates")
     _require_shared_sigma(components, "offset search")
     pair_mus = [(c.mu[a], c.mu[b]) for c in components]
     required = [
@@ -380,12 +391,8 @@ def collapse_pair(model, coord_pair, y_a, y_b):
         original_cdf(sigma[a]*x - y_a, sigma[b]*x - y_b, x_rest)
             == collapsed_cdf(x, x_rest)
     """
-    a, b = (int(coord_pair[0]), int(coord_pair[1]))
     p = model.p
-    if p < 2:
-        raise ValueError("need at least two coordinates to collapse")
-    if not (0 <= a < p and 0 <= b < p) or a == b:
-        raise ValueError("coordinate pair (%d, %d) invalid for p=%d" % (a, b, p))
+    a, b = _coordinate_pair(coord_pair, p, "need at least two coordinates to collapse")
     sigma = _require_shared_sigma(model.components, "dimension collapse")
     merged = _merged_locations(model.components, a, b, float(y_a), float(y_b))
     keep = [k for k in range(p) if k not in (a, b)]
@@ -608,33 +615,29 @@ def probe_open_problem(p, s, n_trials, seed, near_tol=1e-10):
             continue
         rep = mixture_equality_test(m1, m2)
         if best is None or rep.sup_norm_cdf_gap < best[0]:
-            best = (rep.sup_norm_cdf_gap, m1, m2)
+            best = (rep.sup_norm_cdf_gap, gap_d, m1, m2)
     if best is None:
         raise RuntimeError("every random pair failed the separation filter")
-    gap0, m1, m2 = best
+    gap0, dist0, m1, m2 = best
 
     def objective(theta):
         try:
             cand = _unflatten_model(theta, p, s)
         except ValueError:
             return 10.0
-        dist, _ = matched_param_distance(m1, cand)
         rep = mixture_equality_test(m1, cand)
-        return rep.sup_norm_cdf_gap + 10.0 * max(0.0, MIN_PARAM_GAP - dist)
+        return rep.sup_norm_cdf_gap + 10.0 * max(0.0, MIN_PARAM_GAP - rep.max_param_gap)
 
     res = minimize(
         objective, _flatten_model(m2), method="Nelder-Mead",
         options={"maxiter": 300, "xatol": 1e-8, "fatol": 1e-14},
     )
     refined = _unflatten_model(res.x, p, s)
-    dist, _ = matched_param_distance(m1, refined)
     rep = mixture_equality_test(m1, refined)
-    if dist >= MIN_PARAM_GAP and rep.sup_norm_cdf_gap <= gap0:
-        smallest, witness = rep.sup_norm_cdf_gap, (m1, refined)
-        final_dist = dist
+    if rep.max_param_gap >= MIN_PARAM_GAP and rep.sup_norm_cdf_gap <= gap0:
+        smallest, final_dist, witness = rep.sup_norm_cdf_gap, rep.max_param_gap, (m1, refined)
     else:
-        smallest, witness = gap0, (m1, m2)
-        final_dist, _ = matched_param_distance(m1, m2)
+        smallest, final_dist, witness = gap0, dist0, (m1, m2)
     return {
         "mode": "probe",
         "p": p,

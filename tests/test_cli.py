@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,37 @@ def test_eval_plot_data(model_path, tmp_path):
     assert 0.0 <= cdf <= 1.0 and pdf >= 0.0
 
 
+def test_eval_plot_axis_spans_ten_scales(model_path, tmp_path):
+    data = tmp_path / "d.csv"
+    run(["sample", "--model", str(model_path), "--n", "20", "--out", str(data)])
+    plot = tmp_path / "plot.csv"
+    code = run([
+        "eval", "--model", str(model_path), "--data", str(data),
+        "--out", str(tmp_path / "r.json"), "--emit-plot-data", str(plot),
+    ])
+    assert code == 0
+    xs = [float(line.split(",")[0]) for line in plot.read_text().splitlines()[1:]]
+    comps = lm.load_model(model_path).components
+    lo = min(c.mu[0] - 10.0 * c.sigma[0] for c in comps)
+    hi = max(c.mu[0] + 10.0 * c.sigma[0] for c in comps)
+    assert np.array_equal(xs, np.linspace(lo, hi, 401))
+
+
+def test_eval_plot_data_huge_scale_exit_1(tmp_path, capsys):
+    model = tmp_path / "wide.json"
+    lm.save_model(lm.MixtureModel([1.0], (lm.MldParams([0.0], [1e308]),)), model)
+    data = tmp_path / "d.csv"
+    data.write_text("0.5\n-2.0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run([
+            "eval", "--model", str(model), "--data", str(data),
+            "--out", str(tmp_path / "r.json"), "--emit-plot-data", str(tmp_path / "plot.csv"),
+        ])
+    assert code == 1
+    assert "overflows the float range" in capsys.readouterr().err
+
+
 def test_fit_roundtrip(model_path, tmp_path):
     data = tmp_path / "d.csv"
     run(["sample", "--model", str(model_path), "--n", "4000", "--seed", "42", "--out", str(data)])
@@ -157,6 +189,39 @@ def test_check_id_trial(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["distinct_passes"] == 5
     assert doc["permuted_passes"] == 5
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--grid-points", "0", "GridSpec.points_per_axis must be"),
+    ("--grid-points", "1", "GridSpec.points_per_axis must be"),
+    ("--grid-points", "-3", "GridSpec.points_per_axis must be"),
+    ("--grid-points", "2.5", "invalid int value"),
+    ("--grid-span", "0", "GridSpec.span must be"),
+    ("--grid-span", "-1", "GridSpec.span must be"),
+    ("--grid-span", "nan", "GridSpec.span must be"),
+    ("--grid-span", "inf", "GridSpec.span must be"),
+])
+def test_check_id_equality_bad_grid_exit_1(model_path, tmp_path, capsys, flag, value, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run([
+            "check-id", "--mode", "equality", "--model", str(model_path),
+            "--model2", str(model_path), "--out", str(tmp_path / "eq.json"), flag, value,
+        ])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "eq.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--data", "d.csv", "--s", "2", "--out", "m.json", "--m-step-iters", "5"],
+    ["fit", "--data", "d.csv", "--s", "2", "--out", "m.json", "--m-step-tol", "1e-6"],
+    ["collapse", "--model", "m.json", "--coords", "0,1", "--offsets", "0,0",
+     "--out", "c.json", "--seed", "0"],
+])
+def test_removed_options_exit_1(argv, capsys):
+    assert run(argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_collapse_command(model2d_path, tmp_path):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import logimix as lm
+from logimix import estimation
+from logimix._util import spawn_seeds
 from logimix.estimation import _ascend, _weighted_obj_derivs
 
 from oracles import fd_log_pdf_gradients
@@ -170,7 +172,7 @@ class TestNewtonMStep:
         log_sigma = log_sigma + 1.5
         values = [_mean_log_pdf(data, resp, mu, log_sigma)]
         for iters in range(1, 8):
-            new_mu, new_ls = _ascend(data, resp, mu, log_sigma, iters, 1e-10)
+            new_mu, new_ls = _ascend(data, resp, mu, log_sigma, iters)
             values.append(_mean_log_pdf(data, resp, new_mu, new_ls))
         assert np.all(np.diff(values) >= 0.0)
 
@@ -179,7 +181,7 @@ class TestNewtonMStep:
             lm.MixtureModel([1.0], (lm.MldParams([0.7, -1.0], [1.4, 0.6]),)), 500, seed=41
         )
         resp = np.ones(data.shape[0])
-        mu, log_sigma = _ascend(data, resp, np.zeros(2), np.log([140.0, 60.0]), 50, 1e-10)
+        mu, log_sigma = _ascend(data, resp, np.zeros(2), np.log([140.0, 60.0]))
         g_mu, g_ls = lm.component_log_pdf_grad(data, lm.MldParams(mu, np.exp(log_sigma)))
         g_mu, g_ls = g_mu.mean(axis=0), g_ls.mean(axis=0)
         assert np.sqrt(g_mu @ g_mu + g_ls @ g_ls) < 1e-6
@@ -194,7 +196,7 @@ class TestEmFit:
         data, _ = lm.sample_mixture(
             lm.MixtureModel([1.0], (lm.MldParams([0.7], [1.4]),)), 500, seed=31
         )
-        res = lm.em_fit(data, lm.FitConfig(s=1, n_restarts=1, m_step_iters=200, seed=0))
+        res = lm.em_fit(data, lm.FitConfig(s=1, n_restarts=1, seed=0))
         g_mu, g_ls = lm.component_log_pdf_grad(data, res.model.components[0])
         g_mu, g_ls = g_mu.mean(axis=0), g_ls.mean(axis=0)
         assert np.sqrt(g_mu @ g_mu + g_ls @ g_ls) < 1e-6
@@ -259,6 +261,17 @@ class TestEmFit:
         data, _ = lm.sample_mixture(reference_model(), 2000, seed=40)
         res = lm.em_fit(data, lm.FitConfig(s=2, seed=1, n_restarts=1))
         assert res.loglik_trace[-1] == lm.log_likelihood(data, res.model)
+
+    def test_last_reinit_attempt_freezes_starved_components(self, monkeypatch):
+        # Every component counts as starved, so each attempt but the last is
+        # abandoned and the last keeps its random-rows start unchanged.
+        monkeypatch.setattr(estimation, "DEGENERATE_RESP_TOTAL", np.inf)
+        data, _ = lm.sample_mixture(reference_model(), 300, seed=42)
+        res = lm.em_fit(data, lm.FitConfig(s=2, seed=3, n_restarts=1))
+        last_seed = spawn_seeds(spawn_seeds(3, 1)[0], estimation.MAX_REINIT_ATTEMPTS)[-1]
+        start = lm.init_params(data, 2, last_seed, "random-rows")
+        for got, want in zip(res.model.components, start.components):
+            assert np.array_equal(got.mu, want.mu) and np.array_equal(got.sigma, want.sigma)
 
     def test_deterministic_given_seed(self):
         data, _ = lm.sample_mixture(reference_model(), 600, seed=39)

@@ -147,6 +147,16 @@ class TestTailAndReflection:
         assert reflected(0.7) == pytest.approx(direct, rel=1e-14)
         assert reflected(0.7) == pytest.approx(-lm.evaluate_combination(lc, 0.7), abs=1e-12)
 
+    def test_reflection_is_exactly_the_reflected_expit_sum(self):
+        comps = (mld1(0.3, 0.7), mld1(-1.1, 2.5), mld1(4.0, 1e-3))
+        lc = lm.LinearCombination([1.5, -0.25, -1.25], comps)
+        reflected = lm.reflect_combination(lc)
+        for x in (-7.0, -0.4, 0.0, 0.3, 4.0005, 1e3):
+            direct = 0.0
+            for d, c in zip(lc.coeffs, comps):
+                direct = direct + d * expit(-(x - c.mu[0]) / c.sigma[0])
+            assert reflected(x) == direct
+
     def test_reflection_requires_zero_sum(self):
         lc = lm.LinearCombination([1.0, -0.5], (mld1(0.0, 1.0), mld1(1.0, 1.0)))
         with pytest.raises(ValueError):
@@ -240,6 +250,14 @@ class TestSeparatingOffsets:
         with pytest.raises(ValueError):
             lm.find_separating_offsets(comps, (0, 1), seed=0)
 
+    def test_rejects_bad_coordinate_pairs(self):
+        comps = (lm.MldParams([0.0, 0.0], [1.0, 1.0]),)
+        with pytest.raises(ValueError, match="need at least two coordinates$"):
+            lm.find_separating_offsets((mld1(0.0, 1.0),), (0, 1), seed=0)
+        for pair in ((0, 0), (0, 2), (-1, 1)):
+            with pytest.raises(ValueError, match=r"coordinate pair \(%d, %d\) invalid for p=2" % pair):
+                lm.find_separating_offsets(comps, pair, seed=0)
+
 
 class TestCollapse:
     def test_standard_pair_merges_to_log2(self):
@@ -284,6 +302,14 @@ class TestCollapse:
         )
         with pytest.raises(ValueError):
             lm.collapse_pair(m, (0, 1), 0.0, 0.0)
+
+    def test_rejects_bad_coordinate_pairs(self):
+        with pytest.raises(ValueError, match="need at least two coordinates to collapse"):
+            lm.collapse_pair(lm.MixtureModel([1.0], (mld1(0.0, 1.0),)), (0, 1), 0.0, 0.0)
+        m = lm.MixtureModel([1.0], (lm.MldParams([0.0, 0.0], [1.0, 1.0]),))
+        for pair in ((1, 1), (2, 0)):
+            with pytest.raises(ValueError, match=r"coordinate pair \(%d, %d\) invalid for p=2" % pair):
+                lm.collapse_pair(m, pair, 0.0, 0.0)
 
 
 class TestEqualityTest:
@@ -346,6 +372,23 @@ class TestEqualityTest:
             with pytest.raises(ValueError, match="span .* overflows the float range on coordinate %d" % coord):
                 lm.mixture_equality_test(m1, m2)
 
+    @pytest.mark.parametrize("spec, field", [
+        ({"points_per_axis": 0}, "points_per_axis"),
+        ({"points_per_axis": 1}, "points_per_axis"),
+        ({"points_per_axis": -3}, "points_per_axis"),
+        ({"points_per_axis": 2.5}, "points_per_axis"),
+        ({"span": 0.0}, "span"),
+        ({"span": -1.0}, "span"),
+        ({"span": float("nan")}, "span"),
+        ({"span": float("inf")}, "span"),
+    ])
+    def test_bad_grid_spec_raises_clear_error(self, spec, field):
+        m = lm.MixtureModel([0.5, 0.5], (mld1(-1.0, 1.0), mld1(1.0, 0.5)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="GridSpec.%s must be" % field):
+                lm.mixture_equality_test(m, m, grid_spec=lm.GridSpec(**spec))
+
     def test_param_distance_matrix_matches_pairwise_loop(self):
         rng = np.random.default_rng(12)
         for p, s1, s2 in ((1, 2, 3), (2, 3, 3), (3, 4, 2)):
@@ -402,6 +445,14 @@ class TestOpenProblemProbe:
         w2 = model_from_dict(report["witness_pair"][1])
         assert w1.p == 2 and w2.p == 2
         assert report["smallest_gap"] >= 0.0
+
+    def test_reported_gaps_belong_to_the_witness_pair(self):
+        for seed in (3, 11):
+            report = lm.probe_open_problem(p=2, s=2, n_trials=20, seed=seed)
+            w1, w2 = (model_from_dict(d) for d in report["witness_pair"])
+            rep = lm.mixture_equality_test(w1, w2)
+            assert report["param_distance"] == lm.matched_param_distance(w1, w2)[0]
+            assert report["smallest_gap"] == rep.sup_norm_cdf_gap
 
     def test_rejects_one_dimension(self):
         with pytest.raises(ValueError):
