@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+from functools import reduce
 
 import numpy as np
 
@@ -41,14 +42,18 @@ def open_uniform(rng, size=None):
 
 
 def log1p_sum_exp_neg(z):
-    """log(1 + sum_k exp(-z[..., k])) along the last axis, without overflow.
+    """log(1 + sum_k exp(-z[k, ...])) over the leading axis, without overflow.
 
+    ``z`` is coordinate-major, shape (p, ...), and the result has shape (...).
     Subtracts max(0, max_k(-z_k)) before exponentiating, so standardized
-    residuals far beyond +-700 stay finite.
+    residuals far beyond +-700 stay finite.  The maximum and the sum run as
+    p - 1 elementwise passes, left to right: the order of numpy's own sum
+    over a short trailing axis (p <= 7), so the values match it bit for bit
+    there.
     """
     neg = -np.asarray(z, dtype=float)
-    m = np.maximum(np.max(neg, axis=-1), 0.0)
-    return m + np.log(np.exp(-m) + np.sum(np.exp(neg - m[..., None]), axis=-1))
+    m = np.maximum(reduce(np.maximum, neg), 0.0)
+    return m + np.log(np.exp(-m) + reduce(np.add, np.exp(neg - m)))
 
 
 def write_text_atomic(path, text):

@@ -14,11 +14,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from ._util import rng_from_seed, spawn_seeds
 from .mixture import MixtureModel, WEIGHT_FLOOR, _weighted_log_pdfs, as_dataset
-from .mld import MldParams, _as_points, _log_pdf_parts
+from .mld import MldParams, _as_points, _coordinate_major, _log_pdf_parts
 
 INIT_STRATEGIES = ("quantile", "random-rows")
 
@@ -84,19 +84,18 @@ class FitResult:
 def responsibilities(x, model):
     """Posterior component probabilities, computed in log space.
 
-    A point of shape (p,) gives a vector of length s; a batch (n, p) gives an
-    (n, s) matrix.  If every component underflows to zero density the affected
-    rows degenerate to uniform and a RuntimeWarning is emitted.
+    A point of shape (p,) gives a vector of length s; a batch (..., p) gives
+    an (..., s) array.  If every component underflows to zero density the
+    affected rows degenerate to uniform and a RuntimeWarning is emitted.
     """
     x = _as_points(x, model.p)
-    single = x.ndim == 1
-    resp, _, n_underflow = _e_step(x[None, :] if single else x, model)
+    resp, _, n_underflow = _e_step(_coordinate_major(np.atleast_2d(x)), model)
     if n_underflow:
         warnings.warn(
             "all mixture components underflowed; returning uniform responsibilities",
             RuntimeWarning,
         )
-    return resp[0] if single else resp
+    return np.moveaxis(resp, 0, -1).reshape(x.shape[:-1] + (model.s,))
 
 
 def component_log_pdf_grad(x, params):
@@ -108,12 +107,9 @@ def component_log_pdf_grad(x, params):
         d/d log sigma_k = z_k * (1 - (p+1) w_k) - 1
     """
     x = _as_points(x, params.p)
-    _, z, log_denom = _log_pdf_parts(x, params.mu, params.sigma)
-    w = np.exp(-z - log_denom[..., None])
-    base = 1.0 - (params.p + 1) * w
-    grad_mu = base / params.sigma
-    grad_logsigma = z * base - 1.0
-    return grad_mu, grad_logsigma
+    _, z, log_denom = _log_pdf_parts(_coordinate_major(x), params.mu, params.sigma)
+    base = np.moveaxis(1.0 - (params.p + 1) * np.exp(-z - log_denom), 0, -1)
+    return base / params.sigma, np.moveaxis(z, 0, -1) * base - 1.0
 
 
 def _weighted_obj_derivs(data, resp, mu, log_sigma):
@@ -122,7 +118,8 @@ def _weighted_obj_derivs(data, resp, mu, log_sigma):
     The objective is the responsibility-weighted mean log density, which has
     the same maximizer as the weighted sum and keeps the natural Newton step
     near unity regardless of the dataset size.  Parameters are ordered
-    (mu_1, ..., mu_p, log sigma_1, ..., log sigma_p).  With z = (x - mu)/sigma,
+    (mu_1, ..., mu_p, log sigma_1, ..., log sigma_p).  ``data`` is
+    coordinate-major, shape (p, n).  With z = (x - mu)/sigma,
     w_k = exp(-z_k)/(1 + sum_j exp(-z_j)) and g_k = (p+1) w_k - 1, a row's log
     density has z-gradient g and z-Hessian H_z = (p+1)(w w' - diag w), so
 
@@ -130,23 +127,24 @@ def _weighted_obj_derivs(data, resp, mu, log_sigma):
 
     with dz_k/dmu_k = -1/sigma_k, dz_k/dlog sigma_k = -z_k,
     d2z_k/dmu_k dlog sigma_k = 1/sigma_k and d2z_k/dlog sigma_k^2 = z_k.
-    J' H_z J is (p+1)(u u' - J' diag(w) J) with u = -J' w; the weighted sums
-    of u u' go through one (2p, n) x (n, 2p) product and the diagonal terms
-    through per-coordinate sums, so no per-row 2p x 2p array is formed.
+    J' H_z J is (p+1)(u u' - J' diag(w) J) with u = -J' w.  w, z and z w are
+    (p, n) arrays and sqrt(r) u is one (2p, n) array, so the weighted sums of
+    u u' go through one (2p, n) x (n, 2p) product and the diagonal terms
+    through (p, n) x (n,) products; no per-row 2p x 2p array is formed.
     """
     p = mu.size
     total = resp.sum()
     sigma = np.exp(log_sigma)
     log_pdf, z, log_denom = _log_pdf_parts(data, mu, sigma)
     obj = float(np.dot(resp, log_pdf)) / total
-    w = np.exp(-z - log_denom[:, None])
+    w = np.exp(-z - log_denom)
     zw = z * w
-    u = np.sqrt(resp)[:, None] * np.concatenate([w / sigma, zw], axis=1)
-    rw, rzw, rz, rzzw = resp @ w, resp @ zw, resp @ z, resp @ (zw * z)
+    u = np.sqrt(resp) * np.concatenate([w / sigma[:, None], zw])
+    rw, rzw, rz, rzzw = w @ resp, zw @ resp, z @ resp, (zw * z) @ resp
     rg = (p + 1) * rw - total  # sum_i r_i g_ik
     rzg = (p + 1) * rzw - rz  # sum_i r_i z_ik g_ik
     grad = -np.concatenate([rg / sigma, rzg + total]) / total
-    hess = (p + 1) * (u.T @ u)
+    hess = (p + 1) * (u @ u.T)
     k = np.arange(p)
     hess[k, k] -= (p + 1) * rw / sigma**2
     hess[k, p + k] -= ((p + 1) * rzw - rg) / sigma
@@ -160,26 +158,28 @@ def _newton_direction(grad, hess):
     """Solve (lam I - H) d = grad through the Cholesky factor, lam being the
     first of 0, LEVENBERG_SEED, 2 LEVENBERG_SEED, ... that gives a factor.
 
-    A non-finite Hessian counts as zero, so the shift alone sets a scaled
+    LAPACK's potrf/potrs are called directly, on the upper triangle, as
+    ``scipy.linalg.cho_factor``/``cho_solve`` call them; a positive ``info``
+    from potrf means the shifted matrix is not positive definite.  A
+    non-finite Hessian counts as zero, so the shift alone sets a scaled
     gradient step; if no finite shift works the direction is zero.
     """
-    neg_h = -hess if np.all(np.isfinite(hess)) else np.zeros_like(hess)
+    neg_h = -hess if np.isfinite(hess).all() else np.zeros_like(hess)
     eye = np.eye(grad.size)
     lam = 0.0
     while lam < np.inf:
-        try:
-            factor = cho_factor(neg_h + lam * eye, check_finite=False)
-        except LinAlgError:
-            lam = max(2.0 * lam, LEVENBERG_SEED)
-            continue
-        return cho_solve(factor, grad, check_finite=False)
+        factor, info = dpotrf(neg_h + lam * eye, lower=0, clean=0)
+        if info == 0:
+            return dpotrs(factor, grad, lower=0)[0]
+        lam = max(2.0 * lam, LEVENBERG_SEED)
     return np.zeros_like(grad)
 
 
 def _ascend(data, resp, mu, log_sigma, iters=MAX_NEWTON_STEPS):
     """Damped Newton ascent of the M-step objective in (mu, log sigma).
 
-    Each step solves (lam I - H) d = g, where lam is a Levenberg shift added
+    ``data`` is coordinate-major, shape (p, n), as ``_weighted_obj_derivs``
+    takes it.  Each step solves (lam I - H) d = g, where lam is a Levenberg shift added
     (and doubled) only while -H is not positive definite or not finite; a
     large shift turns d into a scaled gradient step.  The step length is
     halved from 1 until the objective improves, and only an improving step is
@@ -193,7 +193,7 @@ def _ascend(data, resp, mu, log_sigma, iters=MAX_NEWTON_STEPS):
     theta = np.concatenate([mu, log_sigma])
     # Typical rounding error of a mean of n terms: a smaller gain cannot be
     # told apart from noise, and searching for it only burns evaluations.
-    noise = np.finfo(float).eps * np.sqrt(data.shape[0])
+    noise = np.finfo(float).eps * np.sqrt(data.shape[1])
     # Trial points may overflow; a non-finite objective is never accepted.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         obj, grad, hess = _weighted_obj_derivs(data, resp, mu, log_sigma)
@@ -256,18 +256,20 @@ def init_params(data, s, seed, strategy="quantile"):
 def _e_step(data, model):
     """Responsibilities, log-likelihood and number of underflowed rows.
 
-    A row at which every component density underflows to zero gets uniform
+    ``data`` is coordinate-major, shape (p, ...), and the responsibilities
+    are component-major, shape (s, ...), like ``_weighted_log_pdfs``.  A row
+    at which every component density underflows to zero gets uniform
     responsibilities and adds -1e300 to the log-likelihood, which keeps EM
     traces finite and comparable.
     """
     with np.errstate(over="ignore"):
         lp = _weighted_log_pdfs(data, model)
-    row_ll = np.logaddexp.reduce(lp, axis=-1)
+    row_ll = np.logaddexp.reduce(lp, axis=0)
     bad = ~np.isfinite(row_ll)
     if np.any(bad):
-        lp[bad] = -np.log(model.s)
+        lp[:, bad] = -np.log(model.s)
         row_ll[bad] = -1e300
-    resp = np.exp(lp - np.where(bad, 0.0, row_ll)[:, None])
+    resp = np.exp(lp - np.where(bad, 0.0, row_ll))
     return resp, float(row_ll.sum()), int(bad.sum())
 
 
@@ -275,16 +277,17 @@ def _em_single(data, config, seed, strategy, allow_degenerate):
     """One EM run, (model, trace, converged); None once a component starves,
     unless ``allow_degenerate``, which freezes starved components instead."""
     model = init_params(data, config.s, seed, strategy)
+    coords = _coordinate_major(data)
     trace = []
     converged = False
     for _ in range(config.max_iter):
-        resp, loglik, _ = _e_step(data, model)
+        resp, loglik, _ = _e_step(coords, model)
         if trace and (loglik - trace[-1]) < config.rel_tol * max(1.0, abs(loglik)):
             trace.append(loglik)
             converged = True
             break
         trace.append(loglik)
-        totals = resp.sum(axis=0)
+        totals = resp.sum(axis=1)
         if np.any(totals < DEGENERATE_RESP_TOTAL):
             if not allow_degenerate:
                 return None
@@ -299,12 +302,12 @@ def _em_single(data, config, seed, strategy, allow_degenerate):
             if starved[i]:
                 comps.append(comp)
                 continue
-            mu, log_sigma = _ascend(data, resp[:, i], comp.mu, np.log(comp.sigma))
+            mu, log_sigma = _ascend(coords, resp[i], comp.mu, np.log(comp.sigma))
             comps.append(MldParams(mu, np.exp(log_sigma)))
         model = MixtureModel(weights, tuple(comps))
     else:
         # Cap reached: refresh the trace so it reflects the final model.
-        _, loglik, _ = _e_step(data, model)
+        _, loglik, _ = _e_step(coords, model)
         trace.append(loglik)
     return model, np.asarray(trace), converged
 

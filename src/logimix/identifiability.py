@@ -144,6 +144,11 @@ class GridSpec:
             raise ValueError("GridSpec.span must be finite and positive, got %r" % (span,))
 
 
+def _require_trial_count(n_trials):
+    if not (isinstance(n_trials, numbers.Integral) and n_trials >= 1):
+        raise ValueError("n_trials must be an integer >= 1, got %r" % (n_trials,))
+
+
 def _shared_sigma(components, rtol=1e-12):
     ref = components[0].sigma
     return all(np.allclose(c.sigma, ref, rtol=rtol, atol=0.0) for c in components)
@@ -523,8 +528,10 @@ def identifiability_trial(p, s, shared_scale, seed, n_trials):
     for both models of a trial).  Each trial draws two well-separated models
     and expects a sup-norm cdf gap above the distinct threshold, then checks
     that a component-permuted copy tests equal.  Scenarios outside the
-    covered regimes route to :func:`probe_open_problem`.
+    covered regimes route to :func:`probe_open_problem`.  ``n_trials`` must
+    be an integer >= 1.
     """
+    _require_trial_count(n_trials)
     p, s, n_trials = int(p), int(s), int(n_trials)
     covered = p == 1 or (p in (2, 3) and shared_scale)
     if not covered:
@@ -597,7 +604,9 @@ def probe_open_problem(p, s, n_trials, seed, near_tol=1e-10):
     smallest gap found and the witnessing pair are reported.  A gap below
     ``near_tol`` at parameter distance above 0.1 is only flagged as a
     counterexample candidate for manual study, never asserted as a verdict.
+    ``n_trials`` must be an integer >= 1.
     """
+    _require_trial_count(n_trials)
     p, s, n_trials = int(p), int(s), int(n_trials)
     if p < 2:
         raise ValueError("the exploratory probe targets p >= 2")

@@ -11,7 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import open_uniform, rng_from_seed, spawn_seeds, write_text_atomic
-from .mld import MldParams, _as_points, _cdf, _log_pdf_parts, _scalar_or_array, sample
+from .mld import (
+    MldParams, _as_points, _cdf, _coordinate_major, _log_pdf_parts, _scalar_or_array, sample,
+)
 
 MODEL_FORMAT = "logimix-model-v1"
 
@@ -78,22 +80,23 @@ def _mixture_cdf(coords, model):
 
 
 def _weighted_log_pdfs(x, model):
-    """log pi_i + log l_i(x) for validated points x (..., p), shape (..., s).
+    """log pi_i + log l_i(x) for validated coordinate-major points x (p, ...).
 
-    ``mixture_log_pdf`` and the EM E-step both reduce this array over its last
-    axis, so the public log-likelihood and the EM trace are one computation.
+    The result is component-major, shape (s, ...).  ``mixture_log_pdf`` and
+    the EM E-step both reduce it over its leading axis, one elementwise
+    ``logaddexp`` pass per further component, so the public log-likelihood
+    and the EM trace are one computation.
     """
     return np.stack(
         [np.log(w) + _log_pdf_parts(x, c.mu, c.sigma)[0]
-         for w, c in zip(model.weights, model.components)],
-        axis=-1,
+         for w, c in zip(model.weights, model.components)]
     )
 
 
 def mixture_log_pdf(x, model):
     """log sum_i pi_i l_i(x), via log-sum-exp over components."""
-    x = _as_points(x, model.p)
-    return _scalar_or_array(np.logaddexp.reduce(_weighted_log_pdfs(x, model), axis=-1))
+    x = _coordinate_major(_as_points(x, model.p))
+    return _scalar_or_array(np.logaddexp.reduce(_weighted_log_pdfs(x, model), axis=0))
 
 
 def mixture_pdf(x, model):

@@ -16,19 +16,25 @@ Points are arrays whose last axis holds the p coordinates; an input of shape
 (..., p) yields an output of shape (...).  For p == 1 plain scalars and flat
 arrays are accepted and treated elementwise.
 
-Both formulas are written once.  ``_log_pdf_parts`` gives the log density of
-(..., p) points, with the standardized residuals and log(1 + sum_k exp(-z_k))
-that the fitting code's derivatives reuse.  ``_cdf`` gives the cdf in its
-direct form 1 / (1 + sum_k exp((mu_k - x_k) / sigma_k)) and takes the
-coordinates as a sequence of p arrays that broadcast together: the columns of
-a point array, or the open per-axis vectors of a tensor grid (``np.ix_``), on
-which each exponential is taken once per axis node.  The public functions
-here, the mixture functions, the EM code and the identifiability grids
-validate their input and then call these kernels; the ``standard_*``
-functions are the location-scale ones at mu = 0, sigma = 1.
+Both formulas are written once, and both kernels take the coordinates
+coordinate-major, with p leading, so every sum or maximum over the p
+coordinates is p - 1 elementwise passes over whole arrays rather than a
+length-p reduction per point.  ``_log_pdf_parts`` gives the log density of a
+(p, ...) point array, with the (p, ...) standardized residuals and
+log(1 + sum_k exp(-z_k)) that the fitting code's derivatives reuse.  ``_cdf``
+gives the cdf in its direct form 1 / (1 + sum_k exp((mu_k - x_k) / sigma_k))
+and takes a sequence of p coordinate arrays that broadcast together: the rows
+of a (p, ...) point array, or the open per-axis vectors of a tensor grid
+(``np.ix_``), on which each exponential is taken once per axis node.  The
+public functions here, the mixture functions, the EM code and the
+identifiability grids validate their (..., p) input and move its coordinate
+axis to the front before calling these kernels (the log-density callers
+through ``_coordinate_major``, which also makes the array contiguous); the
+``standard_*`` functions are the location-scale ones at mu = 0, sigma = 1.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 from math import lgamma
 
 import numpy as np
@@ -93,17 +99,24 @@ def _scalar_or_array(values):
     return float(values) if values.ndim == 0 else values
 
 
+def _coordinate_major(x):
+    """Validated (..., p) points as a C-contiguous (p, ...) array."""
+    return np.ascontiguousarray(np.moveaxis(x, -1, 0))
+
+
 def _log_pdf_parts(x, mu, sigma):
-    """Log density at points x of shape (..., p), without input checks.
+    """Log density at coordinate-major points x of shape (p, ...), without input checks.
 
     This is the only place the MLD log density is written.  It also returns
-    the standardized residuals z and log(1 + sum_k exp(-z_k)), from which the
-    M-step's derivatives are built.
+    the (p, ...) standardized residuals z and the (...) log(1 + sum_k
+    exp(-z_k)), from which the M-step's derivatives are built.  The sum of z
+    runs over the leading axis left to right, as ``log1p_sum_exp_neg`` does.
     """
-    z = (x - mu) / sigma
+    p = x.shape[0]
+    shape = (p,) + (1,) * (x.ndim - 1)
+    z = (x - mu.reshape(shape)) / sigma.reshape(shape)
     log_denom = log1p_sum_exp_neg(z)
-    p = x.shape[-1]
-    log_pdf = lgamma(p + 1) - np.sum(z, axis=-1) - (p + 1) * log_denom - np.sum(np.log(sigma))
+    log_pdf = lgamma(p + 1) - reduce(np.add, z) - (p + 1) * log_denom - np.log(sigma).sum()
     return log_pdf, z, log_denom
 
 
@@ -148,7 +161,7 @@ def mld_cdf(x, params):
 def mld_log_pdf(x, params):
     """Log density of the location-scale MLD, stable for extreme residuals."""
     x = _as_points(x, params.p)
-    return _scalar_or_array(_log_pdf_parts(x, params.mu, params.sigma)[0])
+    return _scalar_or_array(_log_pdf_parts(_coordinate_major(x), params.mu, params.sigma)[0])
 
 
 def mld_pdf(x, params):

@@ -213,6 +213,22 @@ def test_check_id_equality_bad_grid_exit_1(model_path, tmp_path, capsys, flag, v
     assert not (tmp_path / "eq.json").exists()
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+@pytest.mark.parametrize("command", [
+    ["check-id", "--mode", "trial", "--p", "1", "--s", "2"],
+    ["check-id", "--mode", "trial", "--p", "2", "--s", "2", "--shared-scale"],
+    ["probe-open", "--p", "2", "--s", "2"],
+])
+def test_bad_trial_count_exit_1(command, trials, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(command + ["--trials", trials, "--out", str(out)])
+    assert code == 1
+    assert "n_trials must be an integer >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["fit", "--data", "d.csv", "--s", "2", "--out", "m.json", "--m-step-iters", "5"],
     ["fit", "--data", "d.csv", "--s", "2", "--out", "m.json", "--m-step-tol", "1e-6"],

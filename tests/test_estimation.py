@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 import logimix as lm
 from logimix import estimation
 from logimix._util import spawn_seeds
-from logimix.estimation import _ascend, _weighted_obj_derivs
+from logimix.estimation import _ascend, _newton_direction, _weighted_obj_derivs
 
 from oracles import fd_log_pdf_gradients
 
@@ -52,6 +53,38 @@ class TestResponsibilities:
         with pytest.warns(RuntimeWarning):
             r = lm.responsibilities(np.array([1e300]), m)
         assert r == pytest.approx([0.5, 0.5], abs=0)
+
+
+class TestPointLayouts:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_memory_order_and_batch_shape_give_identical_results(self, p):
+        rng = np.random.default_rng(70 + p)
+        comps = tuple(
+            lm.MldParams(rng.uniform(-2, 2, p), rng.uniform(0.5, 2.0, p)) for _ in range(3)
+        )
+        model = lm.MixtureModel([0.2, 0.3, 0.5], comps)
+        funcs = [
+            ((), lambda x: (lm.mld_log_pdf(x, comps[0]),)),
+            ((), lambda x: (lm.mixture_log_pdf(x, model),)),
+            ((3,), lambda x: (lm.responsibilities(x, model),)),
+            ((p,), lambda x: lm.component_log_pdf_grad(x, comps[1])),
+        ]
+        base = rng.logistic(size=(12, p)) * 2.0
+        layouts = [
+            np.asfortranarray(base),
+            np.repeat(base, 2, axis=0)[::2],
+            np.repeat(base, 2, axis=1)[:, ::2],
+        ]
+        for trailing, f in funcs:
+            want = f(base)
+            for out in want:
+                assert out.shape == (12,) + trailing
+            for x in layouts:
+                assert all(np.array_equal(a, b) for a, b in zip(f(x), want))
+            batched = f(base.reshape(3, 4, p))
+            for out, ref in zip(batched, want):
+                assert out.shape == (3, 4) + trailing
+                assert np.array_equal(out, ref.reshape((3, 4) + trailing))
 
 
 class TestGradients:
@@ -146,7 +179,7 @@ class TestNewtonMStep:
     def test_derivatives_match_finite_differences(self, p):
         data, resp, mu, log_sigma = _newton_case(p, 40 + p)
         theta = np.concatenate([mu, log_sigma])
-        obj, grad, hess = _weighted_obj_derivs(data, resp, mu, log_sigma)
+        obj, grad, hess = _weighted_obj_derivs(data.T, resp, mu, log_sigma)
 
         def f(t):
             return _mean_log_pdf(data, resp, t[:p], t[p:])
@@ -172,7 +205,7 @@ class TestNewtonMStep:
         log_sigma = log_sigma + 1.5
         values = [_mean_log_pdf(data, resp, mu, log_sigma)]
         for iters in range(1, 8):
-            new_mu, new_ls = _ascend(data, resp, mu, log_sigma, iters)
+            new_mu, new_ls = _ascend(data.T, resp, mu, log_sigma, iters)
             values.append(_mean_log_pdf(data, resp, new_mu, new_ls))
         assert np.all(np.diff(values) >= 0.0)
 
@@ -181,10 +214,55 @@ class TestNewtonMStep:
             lm.MixtureModel([1.0], (lm.MldParams([0.7, -1.0], [1.4, 0.6]),)), 500, seed=41
         )
         resp = np.ones(data.shape[0])
-        mu, log_sigma = _ascend(data, resp, np.zeros(2), np.log([140.0, 60.0]))
+        mu, log_sigma = _ascend(data.T, resp, np.zeros(2), np.log([140.0, 60.0]))
         g_mu, g_ls = lm.component_log_pdf_grad(data, lm.MldParams(mu, np.exp(log_sigma)))
         g_mu, g_ls = g_mu.mean(axis=0), g_ls.mean(axis=0)
         assert np.sqrt(g_mu @ g_mu + g_ls @ g_ls) < 1e-6
+
+
+def _cho_levenberg_direction(grad, hess):
+    """The Levenberg-shifted Newton direction through scipy.linalg's Cholesky
+    wrappers, and the shift that gave it."""
+    neg_h = -hess if np.all(np.isfinite(hess)) else np.zeros_like(hess)
+    lam = 0.0
+    while True:
+        try:
+            factor = cho_factor(neg_h + lam * np.eye(grad.size))
+        except LinAlgError:
+            lam = max(2.0 * lam, estimation.LEVENBERG_SEED)
+            continue
+        return cho_solve(factor, grad), lam
+
+
+class TestNewtonDirection:
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_positive_definite_solve_equals_cho_solve(self, n):
+        rng = np.random.default_rng(80 + n)
+        for _ in range(25):
+            a = rng.normal(size=(n, n))
+            spd = a @ a.T + 0.1 * np.eye(n)
+            grad = rng.normal(size=n)
+            want = cho_solve(cho_factor(spd), grad)
+            assert np.array_equal(_newton_direction(grad, -spd), want)
+
+    def test_indefinite_hessian_takes_first_working_shift(self):
+        rng = np.random.default_rng(86)
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        neg_h = q @ np.diag([2.0, 1.0, 0.5, -1e-3]) @ q.T
+        neg_h = (neg_h + neg_h.T) / 2
+        grad = rng.normal(size=4)
+        want, lam = _cho_levenberg_direction(grad, -neg_h)
+        assert lam >= 1e-3
+        assert np.array_equal(_newton_direction(grad, -neg_h), want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_hessian_gives_scaled_gradient(self, bad):
+        grad = np.array([0.3, -1.2, 2.0])
+        hess = -np.eye(3)
+        hess[1, 2] = hess[2, 1] = bad
+        d = _newton_direction(grad, hess)
+        assert np.array_equal(d, _cho_levenberg_direction(grad, hess)[0])
+        np.testing.assert_allclose(d, grad / estimation.LEVENBERG_SEED, rtol=1e-15, atol=0)
 
 
 class TestEmFit:

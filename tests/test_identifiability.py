@@ -431,6 +431,16 @@ class TestTrials:
         assert report["mode"] == "probe"
         assert "smallest_gap" in report
 
+    @pytest.mark.parametrize("n_trials", [0, -1, 2.5, "3", None])
+    @pytest.mark.parametrize("shared_scale", [True, False])
+    def test_bad_trial_count_raises_clear_error(self, n_trials, shared_scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="n_trials"):
+                lm.identifiability_trial(
+                    p=2, s=2, shared_scale=shared_scale, seed=0, n_trials=n_trials
+                )
+
 
 class TestOpenProblemProbe:
     def test_single_component_gap_bounded_below(self):
@@ -457,3 +467,10 @@ class TestOpenProblemProbe:
     def test_rejects_one_dimension(self):
         with pytest.raises(ValueError):
             lm.probe_open_problem(p=1, s=2, n_trials=5, seed=0)
+
+    @pytest.mark.parametrize("n_trials", [0, -1, 2.5, "3", None])
+    def test_bad_trial_count_raises_clear_error(self, n_trials):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="n_trials"):
+                lm.probe_open_problem(p=2, s=2, n_trials=n_trials, seed=0)

@@ -2,12 +2,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.stats import ks_2samp, kstest
 
 import logimix as lm
+from logimix._util import log1p_sum_exp_neg
 
 from oracles import (
     decimal_mld_cdf,
+    decimal_mld_log_pdf,
     frailty_sample,
     mixed_central_fd,
     quad_normalization_1d,
@@ -160,6 +164,63 @@ class TestCdfAccuracy:
                     assert np.all((vals >= 0.0) & (vals <= 1.0))
             tiny = lm.MldParams(np.zeros(3), np.full(3, 1e-300))
             assert lm.mld_cdf(pts, tiny).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+
+
+def _trailing_axis_log1p_sum_exp_neg(z):
+    """log(1 + sum_k exp(-z_k)) reduced by numpy over a trailing (..., p) axis."""
+    neg = -np.asarray(z, dtype=float)
+    m = np.maximum(np.max(neg, axis=-1), 0.0)
+    return m + np.log(np.exp(-m) + np.sum(np.exp(neg - m[..., None]), axis=-1))
+
+
+class TestLog1pSumExpNeg:
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7, 8, 12])
+    def test_matches_trailing_axis_reduction(self, p):
+        rng = np.random.default_rng(60 + p)
+        n = 3000
+        magnitude = np.exp(rng.uniform(np.log(1e-3), np.log(800.0), size=(n, p)))
+        z = np.concatenate([
+            rng.uniform(-h, h, size=(n, p)) for h in (1.0, 30.0, 800.0)
+        ] + [rng.choice([-1.0, 1.0], size=(n, p)) * magnitude])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = log1p_sum_exp_neg(np.ascontiguousarray(z.T))
+            want = _trailing_axis_log1p_sum_exp_neg(z)
+        assert got.shape == (4 * n,)
+        if p <= 7:
+            # Left-to-right passes are the order of numpy's short-axis sum.
+            assert np.array_equal(got, want)
+        else:
+            # numpy sums eight or more terms pairwise; the orders differ only
+            # in rounding, and where the result is small (all z_k large) the
+            # rounding of 1 + sum_k exp(-z_k) is absolute, not relative.
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
+
+
+@st.composite
+def _log_pdf_cases(draw):
+    p = draw(st.integers(1, 4))
+    lead = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=4))
+    mu = draw(hnp.arrays(np.float64, p, elements=st.floats(-1e3, 1e3)))
+    sigma = draw(hnp.arrays(np.float64, p, elements=st.floats(1e-3, 1e3)))
+    z = draw(hnp.arrays(np.float64, lead + (p,), elements=st.floats(-40.0, 40.0)))
+    order = draw(st.sampled_from("CF"))
+    return np.asarray(mu + sigma * z, order=order), mu, sigma
+
+
+class TestLogPdfAccuracy:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_log_pdf_cases())
+    def test_matches_decimal_oracle(self, case):
+        x, mu, sigma = case
+        got = np.asarray(lm.mld_log_pdf(x, lm.MldParams(mu, sigma)))
+        assert got.shape == x.shape[:-1]
+        for idx in np.ndindex(got.shape):
+            exact = decimal_mld_log_pdf(x[idx], mu, sigma)
+            # Each float residual carries a relative rounding error, so the
+            # log density's absolute error grows with sum_k |z_k|.
+            bound = 1e-12 * (1.0 + np.sum(np.abs((x[idx] - mu) / sigma)))
+            assert abs(got[idx] - exact) <= bound
 
 
 class TestMarginals:
