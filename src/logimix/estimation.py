@@ -17,8 +17,8 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from ._util import rng_from_seed, spawn_seeds
-from .mixture import MixtureModel, WEIGHT_FLOOR, _weighted_log_pdfs, as_dataset
-from .mld import MldParams, _as_points, _coordinate_major, _log_pdf_parts
+from .mixture import MixtureModel, WEIGHT_FLOOR, _model, _weighted_log_pdfs, as_dataset
+from .mld import _as_points, _coordinate_major, _log_pdf_parts
 
 INIT_STRATEGIES = ("quantile", "random-rows")
 
@@ -249,8 +249,7 @@ def init_params(data, s, seed, strategy="quantile"):
         rng = rng_from_seed(seed)
         idx = rng.choice(distinct.shape[0], size=s, replace=False)
         centers = distinct[idx]
-    comps = tuple(MldParams(centers[i], scale) for i in range(s))
-    return MixtureModel(np.full(s, 1.0 / s), comps)
+    return _model(np.full(s, 1.0 / s), centers, scale)
 
 
 def _e_step(data, model):
@@ -275,8 +274,13 @@ def _e_step(data, model):
 
 def _em_single(data, config, seed, strategy, allow_degenerate):
     """One EM run, (model, trace, converged); None once a component starves,
-    unless ``allow_degenerate``, which freezes starved components instead."""
+    unless ``allow_degenerate``, which freezes starved components instead.
+
+    The M-step overwrites rows of (s, p) mu and sigma arrays.  They carry
+    sigma, not log sigma: exp(log(sigma)) need not round back to sigma.
+    """
     model = init_params(data, config.s, seed, strategy)
+    mu, sigma = model._mu.copy(), model._sigma.copy()
     coords = _coordinate_major(data)
     trace = []
     converged = False
@@ -288,23 +292,16 @@ def _em_single(data, config, seed, strategy, allow_degenerate):
             break
         trace.append(loglik)
         totals = resp.sum(axis=1)
-        if np.any(totals < DEGENERATE_RESP_TOTAL):
-            if not allow_degenerate:
-                return None
-            # Out of retries: freeze the starved component for this iteration.
-            starved = totals < DEGENERATE_RESP_TOTAL
-        else:
-            starved = np.zeros(config.s, dtype=bool)
+        starved = totals < DEGENERATE_RESP_TOTAL
+        if np.any(starved) and not allow_degenerate:
+            return None
         weights = np.maximum(totals / data.shape[0], WEIGHT_FLOOR)
         weights = weights / weights.sum()
-        comps = []
-        for i, comp in enumerate(model.components):
-            if starved[i]:
-                comps.append(comp)
-                continue
-            mu, log_sigma = _ascend(coords, resp[i], comp.mu, np.log(comp.sigma))
-            comps.append(MldParams(mu, np.exp(log_sigma)))
-        model = MixtureModel(weights, tuple(comps))
+        for i in np.flatnonzero(~starved):
+            mu_i, log_sigma = _ascend(coords, resp[i], mu[i], np.log(sigma[i]))
+            mu[i], sigma[i] = mu_i, np.exp(log_sigma)
+        # MixtureModel renormalises the weights again; fits depend on that rounding.
+        model = _model(weights, mu, sigma)
     else:
         # Cap reached: refresh the trace so it reflects the final model.
         _, loglik, _ = _e_step(coords, model)

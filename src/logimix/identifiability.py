@@ -26,8 +26,8 @@ from scipy.optimize import linear_sum_assignment, minimize
 from scipy.special import expit, roots_legendre
 
 from ._util import rng_from_seed, spawn_seeds
-from .mixture import MixtureModel, _mixture_cdf, model_to_dict
-from .mld import MldParams, _cdf
+from .mixture import _mixture_cdf, _model, model_to_dict
+from .mld import _cdf
 
 DISTINCT_GAP = 1e-3   # sup-norm gap above which two mixtures count as distinct
 EQUAL_GAP = 1e-9      # default gap below which they count as equal
@@ -36,13 +36,13 @@ MIN_PARAM_GAP = 0.1   # separation enforced when drawing "distinct" models
 
 @dataclass(frozen=True, eq=False)
 class LinearCombination:
-    """Coefficients attached to component cdfs, sum_i d_i * L_i."""
+    """Coefficients attached to component cdfs, sum_i d_i * L_i; ``coeffs`` is a read-only copy."""
 
     coeffs: np.ndarray
     components: tuple
 
     def __post_init__(self):
-        coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
+        coeffs = np.array(self.coeffs, dtype=float, ndmin=1)
         comps = tuple(self.components)
         if coeffs.ndim != 1 or coeffs.size < 1:
             raise ValueError("coeffs must be a non-empty vector")
@@ -144,14 +144,11 @@ class GridSpec:
             raise ValueError("GridSpec.span must be finite and positive, got %r" % (span,))
 
 
-def _require_trial_count(n_trials):
-    if not (isinstance(n_trials, numbers.Integral) and n_trials >= 1):
-        raise ValueError("n_trials must be an integer >= 1, got %r" % (n_trials,))
-
-
-def _shared_sigma(components, rtol=1e-12):
-    ref = components[0].sigma
-    return all(np.allclose(c.sigma, ref, rtol=rtol, atol=0.0) for c in components)
+def _require_counts(**counts):
+    """Raise ValueError naming the first count that is not an integer >= 1."""
+    for name, value in counts.items():
+        if not (isinstance(value, numbers.Integral) and value >= 1):
+            raise ValueError("%s must be an integer >= 1, got %r" % (name, value))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +182,7 @@ def _gram_matrix(components, nodes):
     return 0.5 * (gram + gram.T)
 
 
-def gram_min_eigenvalue(components, weightfn_spec="product-logistic", nodes_per_axis=64):
+def gram_min_eigenvalue(components, nodes_per_axis=64):
     """Smallest eigenvalue and numerical rank of the component-cdf Gram matrix.
 
     The weight is a product of standard univariate logistic densities, which
@@ -194,8 +191,6 @@ def gram_min_eigenvalue(components, weightfn_spec="product-logistic", nodes_per_
     doubling nodes; a >10% relative shift of the smallest eigenvalue (beyond
     the rank tolerance) marks the report as not converged.
     """
-    if weightfn_spec != "product-logistic":
-        raise ValueError("unsupported weight spec %r" % (weightfn_spec,))
     components = tuple(components)
     if not components:
         raise ValueError("need at least one component")
@@ -335,17 +330,16 @@ def _coordinate_pair(coord_pair, p, too_few):
     return a, b
 
 
-def _require_shared_sigma(components, what):
-    if not _shared_sigma(components):
+def _require_shared_sigma(sigma, what):
+    """The scale vector that every row of the (s, p) ``sigma`` shares to 1e-12 relative."""
+    if not np.allclose(sigma, sigma[0], rtol=1e-12, atol=0.0):
         raise ValueError("%s requires all components to share one scale vector" % what)
-    return components[0].sigma
+    return sigma[0]
 
 
-def _merged_locations(components, a, b, y_a, y_b):
-    sigma = components[0].sigma
-    alphas = np.array([(y_a + c.mu[a]) / sigma[a] for c in components])
-    betas = np.array([(y_b + c.mu[b]) / sigma[b] for c in components])
-    return np.logaddexp(alphas, betas)
+def _merged_locations(mu, sigma, a, b, y_a, y_b):
+    """log(exp((y_a + mu_i[a])/sigma[a]) + exp((y_b + mu_i[b])/sigma[b])) per row i of mu."""
+    return np.logaddexp((y_a + mu[:, a]) / sigma[a], (y_b + mu[:, b]) / sigma[b])
 
 
 def find_separating_offsets(components, coord_pair, seed):
@@ -356,20 +350,20 @@ def find_separating_offsets(components, coord_pair, seed):
     whose (mu[a], mu[b]) coincide are exempt from the distinctness requirement.
     Tries (0, 0) first, then up to 1000 uniform draws from [-5, 5]^2.
     """
-    components = tuple(components)
-    a, b = _coordinate_pair(coord_pair, components[0].p, "need at least two coordinates")
-    _require_shared_sigma(components, "offset search")
-    pair_mus = [(c.mu[a], c.mu[b]) for c in components]
+    mu = np.array([c.mu for c in components])
+    a, b = _coordinate_pair(coord_pair, mu.shape[1], "need at least two coordinates")
+    sigma = _require_shared_sigma(np.array([c.sigma for c in components]), "offset search")
+    pair_mus = mu[:, [a, b]]
     required = [
         (i, j)
-        for i, j in itertools.combinations(range(len(components)), 2)
-        if pair_mus[i] != pair_mus[j]
+        for i, j in itertools.combinations(range(len(mu)), 2)
+        if np.any(pair_mus[i] != pair_mus[j])
     ]
     rng = rng_from_seed(seed)
     last_collision = None
     for trial in range(1000):
         y = (0.0, 0.0) if trial == 0 else tuple(rng.uniform(-5.0, 5.0, 2))
-        merged = np.exp(_merged_locations(components, a, b, y[0], y[1]))
+        merged = np.exp(_merged_locations(mu, sigma, a, b, y[0], y[1]))
         tol = 1e-9 * np.max(np.abs(merged))
         collision = next(
             ((i, j) for i, j in required if abs(merged[i] - merged[j]) <= tol), None
@@ -398,17 +392,14 @@ def collapse_pair(model, coord_pair, y_a, y_b):
     """
     p = model.p
     a, b = _coordinate_pair(coord_pair, p, "need at least two coordinates to collapse")
-    sigma = _require_shared_sigma(model.components, "dimension collapse")
-    merged = _merged_locations(model.components, a, b, float(y_a), float(y_b))
+    sigma = _require_shared_sigma(model._sigma, "dimension collapse")
+    merged = _merged_locations(model._mu, sigma, a, b, float(y_a), float(y_b))
     keep = [k for k in range(p) if k not in (a, b)]
-    new_comps = tuple(
-        MldParams(
-            np.concatenate(([merged[i]], c.mu[keep])),
-            np.concatenate(([1.0], sigma[keep])),
-        )
-        for i, c in enumerate(model.components)
+    return _model(
+        model.weights,
+        np.column_stack([merged, model._mu[:, keep]]),
+        np.concatenate(([1.0], sigma[keep])),
     )
-    return MixtureModel(model.weights, new_comps)
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +413,8 @@ def _evaluation_grid(models, spec):
     float range raises ValueError.
     """
     spec = spec or GridSpec()
-    comps = [c for m in models for c in m.components]
-    mu = np.array([c.mu for c in comps])
-    sigma = np.array([c.sigma for c in comps])
+    mu = np.concatenate([m._mu for m in models])
+    sigma = np.concatenate([m._sigma for m in models])
     with np.errstate(over="ignore"):
         los = np.min(mu - spec.span * sigma, axis=0)
         his = np.max(mu + spec.span * sigma, axis=0)
@@ -437,15 +427,16 @@ def _evaluation_grid(models, spec):
     return np.ix_(*(np.linspace(lo, hi, spec.points_per_axis) for lo, hi in zip(los, his)))
 
 
-def _component_gaps(comps1, comps2):
-    """max(|d mu|, |d log sigma|) over the coordinates, for every pair: shape (s1, s2)."""
-    a, b = (np.array([(c.mu, np.log(c.sigma)) for c in cs]) for cs in (comps1, comps2))
-    return np.max(np.abs(a[:, None] - b), axis=(-2, -1))
+def _component_gaps(mu1, sigma1, mu2, sigma2):
+    """max(|d mu|, |d log sigma|) over the coordinates for every pair of rows: shape (s1, s2)."""
+    d_mu = np.abs(mu1[:, None] - mu2)
+    d_log_sigma = np.abs(np.log(sigma1)[:, None] - np.log(sigma2))
+    return np.maximum(d_mu, d_log_sigma).max(axis=-1)
 
 
 def _param_distance_matrix(m1, m2):
     dw = np.abs(m1.weights[:, None] - m2.weights)
-    return np.maximum(_component_gaps(m1.components, m2.components), dw)
+    return np.maximum(_component_gaps(m1._mu, m1._sigma, m2._mu, m2._sigma), dw)
 
 
 def matched_param_distance(m1, m2):
@@ -493,26 +484,25 @@ def _random_weights(s, rng):
     return np.full(s, 1.0 / s)
 
 
-def _random_model(p, s, rng, shared_scale, sigma=None, min_gap=MIN_PARAM_GAP):
+def _random_model(p, s, rng, shared_scale, sigma=None):
     for _ in range(500):
         if shared_scale:
-            sig = sigma if sigma is not None else rng.uniform(0.5, 2.0, p)
-            comps = [MldParams(rng.uniform(-3.0, 3.0, p), sig) for _ in range(s)]
+            sig = np.broadcast_to(sigma if sigma is not None else rng.uniform(0.5, 2.0, p), (s, p))
+            mu = rng.uniform(-3.0, 3.0, (s, p))
         else:
-            comps = [
-                MldParams(rng.uniform(-3.0, 3.0, p), rng.uniform(0.5, 2.0, p))
-                for _ in range(s)
-            ]
+            # Component by component, p locations and then p scales.
+            mu, sig = rng.uniform([[-3.0], [0.5]], [[3.0], [2.0]], (s, 2, p)).swapaxes(0, 1)
         # The diagonal compares each component with itself.
-        if np.all((_component_gaps(comps, comps) >= min_gap) | np.eye(s, dtype=bool)):
-            return MixtureModel(_random_weights(s, rng), tuple(comps))
+        gaps = _component_gaps(mu, sig, mu, sig)
+        if np.all((gaps >= MIN_PARAM_GAP) | np.eye(s, dtype=bool)):
+            return _model(_random_weights(s, rng), mu, sig)
     raise RuntimeError("failed to draw a separated random model")
 
 
 def _random_model_pair(p, s, rng, shared_scale):
     for _ in range(200):
         m1 = _random_model(p, s, rng, shared_scale)
-        sigma = m1.components[0].sigma if shared_scale else None
+        sigma = m1._sigma[0] if shared_scale else None
         m2 = _random_model(p, s, rng, shared_scale, sigma=sigma)
         gap, _ = matched_param_distance(m1, m2)
         if gap >= MIN_PARAM_GAP:
@@ -531,7 +521,7 @@ def identifiability_trial(p, s, shared_scale, seed, n_trials):
     covered regimes route to :func:`probe_open_problem`.  ``n_trials`` must
     be an integer >= 1.
     """
-    _require_trial_count(n_trials)
+    _require_counts(p=p, s=s, n_trials=n_trials)
     p, s, n_trials = int(p), int(s), int(n_trials)
     covered = p == 1 or (p in (2, 3) and shared_scale)
     if not covered:
@@ -548,9 +538,7 @@ def identifiability_trial(p, s, shared_scale, seed, n_trials):
         if not rep.equal_distribution and rep.sup_norm_cdf_gap > DISTINCT_GAP:
             distinct_pass += 1
         perm = np.roll(np.arange(s), 1)
-        permuted = MixtureModel(
-            m1.weights[perm], tuple(m1.components[i] for i in perm)
-        )
+        permuted = _model(m1.weights[perm], m1._mu[perm], m1._sigma[perm])
         prep = mixture_equality_test(m1, permuted)
         max_permuted_gap = max(max_permuted_gap, prep.sup_norm_cdf_gap)
         if prep.equal_distribution and prep.equal_parameters:
@@ -574,25 +562,19 @@ def identifiability_trial(p, s, shared_scale, seed, n_trials):
 
 def _flatten_model(model):
     theta = [np.log(model.weights)] if model.s > 1 else []
-    theta.extend(c.mu for c in model.components)
-    theta.extend(np.log(c.sigma) for c in model.components)
-    return np.concatenate(theta) if theta else np.zeros(0)
+    return np.concatenate(theta + [model._mu.ravel(), np.log(model._sigma).ravel()])
 
 
 def _unflatten_model(theta, p, s):
-    pos = 0
     if s > 1:
         raw = theta[:s]
-        pos = s
         w = np.exp(raw - raw.max())
         w = np.maximum(w / w.sum(), 1e-9)
         w = w / w.sum()
     else:
         w = np.ones(1)
-    mus = [theta[pos + i * p: pos + (i + 1) * p] for i in range(s)]
-    pos += s * p
-    sigmas = [np.exp(np.clip(theta[pos + i * p: pos + (i + 1) * p], -20, 20)) for i in range(s)]
-    return MixtureModel(w, tuple(MldParams(m, sg) for m, sg in zip(mus, sigmas)))
+    mu, log_sigma = theta[-2 * s * p:].reshape(2, s, p)
+    return _model(w, mu, np.exp(np.clip(log_sigma, -20, 20)))
 
 
 def probe_open_problem(p, s, n_trials, seed, near_tol=1e-10):
@@ -606,7 +588,7 @@ def probe_open_problem(p, s, n_trials, seed, near_tol=1e-10):
     counterexample candidate for manual study, never asserted as a verdict.
     ``n_trials`` must be an integer >= 1.
     """
-    _require_trial_count(n_trials)
+    _require_counts(p=p, s=s, n_trials=n_trials)
     p, s, n_trials = int(p), int(s), int(n_trials)
     if p < 2:
         raise ValueError("the exploratory probe targets p >= 2")
@@ -661,15 +643,10 @@ def probe_open_problem(p, s, n_trials, seed, near_tol=1e-10):
     }
 
 
-def _perturb_model(model, rng, lo=0.12, hi=0.6):
-    scale = rng.uniform(lo, hi)
-    comps = tuple(
-        MldParams(
-            c.mu + rng.uniform(-scale, scale, model.p),
-            c.sigma * np.exp(rng.uniform(-scale, scale, model.p)),
-        )
-        for c in model.components
-    )
+def _perturb_model(model, rng):
+    scale = rng.uniform(0.12, 0.6)
+    # Component by component, p location shifts and then p log-scale shifts.
+    d_mu, d_log_sigma = rng.uniform(-scale, scale, (model.s, 2, model.p)).swapaxes(0, 1)
     w = model.weights + (rng.dirichlet(np.ones(model.s)) - 1.0 / model.s) * scale if model.s > 1 else model.weights
     w = np.maximum(w, 0.01)
-    return MixtureModel(w / w.sum(), comps)
+    return _model(w / w.sum(), model._mu + d_mu, model._sigma * np.exp(d_log_sigma))

@@ -1,11 +1,15 @@
 """Finite mixtures of multivariate logistic components.
 
-A mixture is a weight vector on the simplex plus a list of components of
-common dimension.  Evaluation functions accept points shaped (..., p) like the
-single-component functions in :mod:`logimix.mld`.
+A mixture is an (s,) weight vector on the simplex plus s components of common
+dimension p, stacked as (s, p) location and scale arrays whose row i is
+component i.  The package reads mixtures through these arrays and builds them
+through ``_model``; the kernels take one call per component, on its rows, as a
+broadcast over s would multiply every temporary by s.  Evaluation functions
+accept points shaped (..., p) like the single-component ones in :mod:`logimix.mld`.
 """
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +29,11 @@ WEIGHT_FLOOR = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class MixtureModel:
-    """Mixing weights plus component parameters, all of one dimension p."""
+    """Mixing weights plus component parameters, all of one dimension p.
+
+    The weights become a read-only (s,) array that sums to 1; the components'
+    locations and scales are also kept as the read-only (s, p) ``_mu`` and ``_sigma``.
+    """
 
     weights: np.ndarray
     components: tuple
@@ -50,17 +58,29 @@ class MixtureModel:
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError("weights sum to %.17g, not 1" % total)
         w = w / total
-        w.setflags(write=False)
+        mu = np.array([c.mu for c in comps])
+        sigma = np.array([c.sigma for c in comps])
+        for a in (w, mu, sigma):
+            a.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "_mu", mu)
+        object.__setattr__(self, "_sigma", sigma)
 
     @property
     def p(self):
-        return self.components[0].p
+        return self._mu.shape[1]
 
     @property
     def s(self):
-        return len(self.components)
+        return self._mu.shape[0]
+
+
+def _model(weights, mu, sigma):
+    """MixtureModel whose component i has row i of (s, p) ``mu`` and ``sigma``; a (p,)
+    ``sigma`` is shared by every component."""
+    sigma = np.broadcast_to(sigma, np.shape(mu))
+    return MixtureModel(weights, tuple(map(MldParams, mu, sigma)))
 
 
 def mixture_cdf(x, model):
@@ -75,7 +95,7 @@ def _mixture_cdf(coords, model):
     ``coords`` is what ``mld._cdf`` takes: the columns of validated points, or
     the open per-axis vectors of a tensor grid.
     """
-    out = sum(w * _cdf(coords, c.mu, c.sigma) for w, c in zip(model.weights, model.components))
+    out = sum(w * _cdf(coords, m, sg) for w, m, sg in zip(model.weights, model._mu, model._sigma))
     return np.clip(out, 0.0, 1.0)
 
 
@@ -88,8 +108,8 @@ def _weighted_log_pdfs(x, model):
     and the EM trace are one computation.
     """
     return np.stack(
-        [np.log(w) + _log_pdf_parts(x, c.mu, c.sigma)[0]
-         for w, c in zip(model.weights, model.components)]
+        [np.log(w) + _log_pdf_parts(x, mu, sigma)[0]
+         for w, mu, sigma in zip(model.weights, model._mu, model._sigma)]
     )
 
 
@@ -142,10 +162,10 @@ def model_to_dict(model):
         "format": MODEL_FORMAT,
         "p": model.p,
         "s": model.s,
-        "weights": [float(w) for w in model.weights],
+        "weights": model.weights.tolist(),
         "components": [
-            {"mu": [float(v) for v in c.mu], "sigma": [float(v) for v in c.sigma]}
-            for c in model.components
+            {"mu": mu, "sigma": sigma}
+            for mu, sigma in zip(model._mu.tolist(), model._sigma.tolist())
         ],
     }
 
@@ -177,20 +197,22 @@ def model_from_dict(raw, origin="model"):
     for key in ("p", "s", "weights", "components"):
         if key not in raw:
             raise ValueError("%s: missing field %r" % (origin, key))
-    weights = np.asarray(raw["weights"], dtype=float)
+    for key in ("p", "s"):
+        if not isinstance(raw[key], numbers.Integral):
+            raise ValueError("%s: field %r must be an integer, got %r" % (origin, key, raw[key]))
     comps_raw = raw["components"]
+    if not isinstance(comps_raw, list):
+        raise ValueError("%s: field 'components' must be a list, got %r" % (origin, comps_raw))
+    try:
+        weights = np.asarray(raw["weights"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError("%s: field 'weights' invalid: %s" % (origin, exc)) from exc
     if len(comps_raw) != raw["s"] or weights.size != raw["s"]:
         raise ValueError("%s: component count does not match s" % origin)
-    total = weights.sum()
-    if not np.isfinite(total) or abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise ValueError(
-            "%s: weights sum to %.17g, outside the accepted 1e-9 band around 1"
-            % (origin, total)
-        )
     components = []
     for idx, c in enumerate(comps_raw):
         try:
-            components.append(MldParams(np.asarray(c["mu"], float), np.asarray(c["sigma"], float)))
+            components.append(MldParams(c["mu"], c["sigma"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError("%s: component %d invalid: %s" % (origin, idx, exc)) from exc
         if components[-1].p != raw["p"]:
@@ -198,7 +220,7 @@ def model_from_dict(raw, origin="model"):
                 "%s: component %d has dimension %d, expected p=%d"
                 % (origin, idx, components[-1].p, raw["p"])
             )
-    try:
+    try:  # MixtureModel checks the weights, their sum included
         return MixtureModel(weights, tuple(components))
     except ValueError as exc:
         raise ValueError("%s: %s" % (origin, exc)) from exc

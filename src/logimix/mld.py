@@ -47,15 +47,16 @@ from ._util import log1p_sum_exp_neg, open_uniform, rng_from_seed
 class MldParams:
     """Location vector ``mu`` and strictly positive scale vector ``sigma``.
 
-    Both arrays must be 1-D of equal length p >= 1 with finite entries.
+    Both arrays must be 1-D of equal length p >= 1 with finite entries.  Each is
+    stored as a read-only copy, which later writes to the caller's array do not reach.
     """
 
     mu: np.ndarray
     sigma: np.ndarray
 
     def __post_init__(self):
-        mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
-        sigma = np.atleast_1d(np.asarray(self.sigma, dtype=float))
+        mu = np.array(self.mu, dtype=float, ndmin=1)
+        sigma = np.array(self.sigma, dtype=float, ndmin=1)
         if mu.ndim != 1 or sigma.ndim != 1:
             raise ValueError("mu and sigma must be 1-D vectors")
         if mu.shape != sigma.shape:

@@ -229,6 +229,36 @@ def test_bad_trial_count_exit_1(command, trials, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--p", "--s"])
+@pytest.mark.parametrize("command", [
+    ["check-id", "--mode", "trial"],
+    ["check-id", "--mode", "trial", "--shared-scale"],
+    ["probe-open"],
+])
+def test_bad_dimension_or_component_count_exit_1(command, flag, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    counts = {"--p": "2", "--s": "2", flag: "0"}
+    argv = command + [a for pair in counts.items() for a in pair]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(argv + ["--trials", "3", "--out", str(out)])
+    assert code == 1
+    assert "%s must be an integer >= 1, got 0" % flag[2:] in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [("weights", {"a": 1}), ("components", 5), ("p", "1")])
+def test_malformed_model_file_exit_1(model_path, tmp_path, capsys, field, value):
+    doc = json.loads(model_path.read_text())
+    doc[field] = value
+    model_path.write_text(json.dumps(doc))
+    code = run(["sample", "--model", str(model_path), "--n", "5", "--out", str(tmp_path / "d.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: field '%s'" % (model_path, field))
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["fit", "--data", "d.csv", "--s", "2", "--out", "m.json", "--m-step-iters", "5"],
     ["fit", "--data", "d.csv", "--s", "2", "--out", "m.json", "--m-step-tol", "1e-6"],

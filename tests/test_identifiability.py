@@ -97,9 +97,10 @@ class TestGram:
         with pytest.raises(ValueError):
             lm.gram_min_eigenvalue((comp,))
 
-    def test_rejects_unknown_weight_spec(self):
-        with pytest.raises(ValueError):
-            lm.gram_min_eigenvalue((mld1(0, 1),), weightfn_spec="lebesgue")
+    def test_weight_spec_keyword_is_gone(self):
+        # The product-logistic weight is the only one; it is not an option.
+        with pytest.raises(TypeError, match="weightfn_spec"):
+            lm.gram_min_eigenvalue((mld1(0, 1),), weightfn_spec="product-logistic")
 
     def test_report_dict_fields(self):
         rep = lm.gram_min_eigenvalue((mld1(0.0, 1.0),))
@@ -109,6 +110,14 @@ class TestGram:
 
 
 class TestTailAndReflection:
+    def test_combination_copies_its_coefficients(self):
+        base = np.array([[1.0, -1.0], [0.0, 0.0]])
+        lc = lm.LinearCombination(base[0], (mld1(0.0, 1.0), mld1(1.0, 1.0)))
+        assert base.flags.writeable
+        base[0, 0] = 5.0
+        assert np.array_equal(lc.coeffs, [1.0, -1.0])
+        assert not lc.coeffs.flags.writeable
+
     def test_cancelling_identical_components(self):
         comp = mld1(0.4, 1.1)
         lc = lm.LinearCombination([1.0, -1.0], (comp, comp))
@@ -442,6 +451,17 @@ class TestTrials:
                 )
 
 
+    @pytest.mark.parametrize("p, s, bad", [
+        (0, 2, "p"), (-1, 2, "p"), (1.5, 2, "p"), (1, 0, "s"), (2, -1, "s"), (1, "2", "s"),
+    ])
+    @pytest.mark.parametrize("shared_scale", [True, False])
+    def test_bad_dimension_or_component_count_raises_clear_error(self, p, s, bad, shared_scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="%s must be an integer >= 1" % bad):
+                lm.identifiability_trial(p=p, s=s, shared_scale=shared_scale, seed=0, n_trials=3)
+
+
 class TestOpenProblemProbe:
     def test_single_component_gap_bounded_below(self):
         report = lm.probe_open_problem(p=2, s=1, n_trials=20, seed=42)
@@ -474,3 +494,10 @@ class TestOpenProblemProbe:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="n_trials"):
                 lm.probe_open_problem(p=2, s=2, n_trials=n_trials, seed=0)
+
+    @pytest.mark.parametrize("p, s, bad", [(0, 2, "p"), (2, 0, "s"), (2, -1, "s"), (2, 1.5, "s")])
+    def test_bad_dimension_or_component_count_raises_clear_error(self, p, s, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="%s must be an integer >= 1" % bad):
+                lm.probe_open_problem(p=p, s=s, n_trials=3, seed=0)

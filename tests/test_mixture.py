@@ -1,9 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 import logimix as lm
+from logimix.mixture import _model
 
 from oracles import quad_normalization_1d, quad_normalization_2d
 
@@ -41,6 +43,18 @@ class TestModelValidation:
     def test_single_component_weight_one(self):
         m = lm.MixtureModel([1.0], (lm.MldParams([0.0], [1.0]),))
         assert m.s == 1 and m.p == 1
+
+    def test_stacked_arrays_are_the_component_rows(self):
+        m = random_model(np.random.default_rng(3), 3, 4)
+        rebuilt = _model(m.weights, m._mu, m._sigma)
+        for name in ("mu", "sigma"):
+            stacked = getattr(m, "_" + name)
+            assert stacked.shape == (4, 3) and not stacked.flags.writeable
+            assert np.array_equal(stacked, [getattr(c, name) for c in m.components])
+            assert np.array_equal(getattr(rebuilt, "_" + name), stacked)
+        assert np.array_equal(rebuilt.weights, m.weights)
+        shared = _model([0.5, 0.5], np.zeros((2, 3)), np.ones(3))
+        assert np.array_equal(shared._sigma, np.ones((2, 3)))
 
 
 class TestEvaluation:
@@ -241,6 +255,17 @@ class TestPersistence:
         }
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="sigma"):
+            lm.load_model(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("weights", {"a": 1}), ("components", 5), ("p", "1"), ("s", None),
+    ])
+    def test_rejects_malformed_field(self, tmp_path, field, value):
+        path = tmp_path / "bad.json"
+        doc = lm.model_to_dict(two_component_1d())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape("%s: field '%s'" % (path, field))):
             lm.load_model(path)
 
     def test_rejects_malformed_json(self, tmp_path):

@@ -41,6 +41,19 @@ class TestParams:
         with pytest.raises(ValueError):
             lm.MldParams([0.0], [np.inf])
 
+    def test_copies_its_inputs(self):
+        mu, sigma = np.zeros(2), np.ones(2)
+        params = lm.MldParams(mu, sigma)
+        assert mu.flags.writeable and sigma.flags.writeable
+        mu[0] = sigma[0] = 5.0
+        assert np.array_equal(params.mu, [0.0, 0.0])
+        assert np.array_equal(params.sigma, [1.0, 1.0])
+        base = np.zeros((2, 2))
+        row = lm.MldParams(base[0], np.ones(2))
+        base[0, 0] = 5.0
+        assert np.array_equal(row.mu, [0.0, 0.0])
+        assert not (row.mu.flags.writeable or row.sigma.flags.writeable)
+
 
 class TestStandardForms:
     def test_cdf_values(self):
