@@ -1,10 +1,27 @@
-"""Shared numerical helpers: seeded random streams, stable log forms, atomic file writes."""
+"""Shared helpers: argument checks, seeded random streams, stable log forms, atomic file writes."""
 
+import numbers
 import os
 import tempfile
 from functools import reduce
 
 import numpy as np
+
+
+def _require_counts(**counts):
+    """Raise ValueError naming the first count that is not an integer >= 1."""
+    for name, value in counts.items():
+        if not (isinstance(value, numbers.Integral) and value >= 1):
+            raise ValueError("%s must be an integer >= 1, got %r" % (name, value))
+
+
+def _require_seed(seed):
+    """``seed`` as an int; ValueError unless it is an integer in [0, 2**64)."""
+    if not isinstance(seed, (int, np.integer)):
+        raise ValueError("seed must be an integer, got %r" % (seed,))
+    if seed < 0 or seed >= 2**64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    return int(seed)
 
 
 def rng_from_seed(seed):
@@ -13,22 +30,18 @@ def rng_from_seed(seed):
     Every stochastic operation in the package takes an explicit seed and builds
     its generator through this function, so results are reproducible bit-for-bit.
     """
-    if not isinstance(seed, (int, np.integer)):
-        raise ValueError("seed must be an integer, got %r" % (seed,))
-    if seed < 0 or seed >= 2**64:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
-    return np.random.Generator(np.random.Philox(int(seed)))
+    return np.random.Generator(np.random.Philox(_require_seed(seed)))
 
 
 def spawn_seeds(seed, n):
-    """Derive ``n`` independent child seeds from ``seed``.
+    """Derive ``n`` independent child seeds from ``seed``, checked as ``rng_from_seed`` checks it.
 
     Uses the SeedSequence spawning protocol, so child streams are independent
     of each other and of the parent, and the derivation is stable across runs
     and platforms.
     """
-    ss = np.random.SeedSequence(int(seed))
-    return [int(child.generate_state(1, np.uint64)[0]) for child in ss.spawn(int(n))]
+    ss = np.random.SeedSequence(_require_seed(seed))
+    return [int(child.generate_state(1, np.uint64)[0]) for child in ss.spawn(n)]
 
 
 def open_uniform(rng, size=None):

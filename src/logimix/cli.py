@@ -113,7 +113,6 @@ def _cmd_fit(args):
     config = FitConfig(
         s=args.s,
         max_iter=args.max_iter,
-        rel_tol=args.rel_tol,
         n_restarts=args.n_restarts,
         seed=args.seed,
     )
@@ -155,8 +154,6 @@ def _cmd_check_id(args):
             load_model(args.model),
             load_model(args.model2),
             grid_spec=GridSpec(points_per_axis=args.grid_points, span=args.grid_span),
-            dist_tol=args.dist_tol,
-            param_tol=args.param_tol,
         )
         _write_json(args.out, {"seed": args.seed, **rep.to_dict()})
         return 0
@@ -182,7 +179,7 @@ def _cmd_collapse(args):
 
 
 def _cmd_probe_open(args):
-    report = probe_open_problem(args.p, args.s, args.trials, args.seed, args.near_tol)
+    report = probe_open_problem(args.p, args.s, args.trials, args.seed)
     _write_json(args.out, report)
     return 0
 
@@ -207,14 +204,13 @@ def _build_parser():
     p_eval.add_argument("--emit-plot-data", help="CSV of (x, pdf, cdf) for 1-D models")
     p_eval.set_defaults(func=_cmd_eval)
 
-    p_fit = sub.add_parser("fit", help="maximum-likelihood EM fit (the M-step's limits are fixed)")
+    p_fit = sub.add_parser("fit", help="maximum-likelihood EM fit (REL_TOL and the M-step's limits are fixed)")
     p_fit.add_argument("--data", required=True)
     p_fit.add_argument("--s", type=int, required=True)
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--out", required=True)
     p_fit.add_argument("--report")
     p_fit.add_argument("--max-iter", type=int, default=500)
-    p_fit.add_argument("--rel-tol", type=float, default=1e-8)
     p_fit.add_argument("--n-restarts", type=int, default=5)
     p_fit.set_defaults(func=_cmd_fit)
 
@@ -229,8 +225,6 @@ def _build_parser():
     p_check.add_argument("--shared-scale", action="store_true")
     p_check.add_argument("--trials", type=int, default=100)
     p_check.add_argument("--nodes", type=int, default=64)
-    p_check.add_argument("--dist-tol", type=float, default=1e-9)
-    p_check.add_argument("--param-tol", type=float, default=1e-6)
     p_check.add_argument("--grid-points", type=int, default=41)
     p_check.add_argument("--grid-span", type=float, default=10.0)
     p_check.add_argument("--seed", type=int, default=0)
@@ -249,7 +243,6 @@ def _build_parser():
     p_probe.add_argument("--s", type=int, required=True)
     p_probe.add_argument("--trials", type=int, required=True)
     p_probe.add_argument("--seed", type=int, default=0)
-    p_probe.add_argument("--near-tol", type=float, default=1e-10)
     p_probe.add_argument("--out", required=True)
     p_probe.set_defaults(func=_cmd_probe_open)
 

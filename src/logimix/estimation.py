@@ -16,11 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from ._util import rng_from_seed, spawn_seeds
+from ._util import _require_counts, rng_from_seed, spawn_seeds
 from .mixture import MixtureModel, WEIGHT_FLOOR, _model, _weighted_log_pdfs, as_dataset
 from .mld import _as_points, _coordinate_major, _log_pdf_parts
 
 INIT_STRATEGIES = ("quantile", "random-rows")
+
+# EM stops once an iteration raises the log-likelihood by less than this
+# fraction of max(1, |log-likelihood|).
+REL_TOL = 1e-8
 
 # A component whose total responsibility falls below this is considered
 # starved; the whole initialization is retried with a fresh seed.
@@ -49,21 +53,15 @@ NEWTON_GTOL = 1e-10
 
 @dataclass(frozen=True)
 class FitConfig:
-    """EM settings; the M-step's own limits are MAX_NEWTON_STEPS and NEWTON_GTOL."""
+    """EM settings; the stopping rule REL_TOL and the M-step's limits are fixed."""
 
     s: int
     max_iter: int = 500
-    rel_tol: float = 1e-8
     n_restarts: int = 5
     seed: int = 0
 
     def __post_init__(self):
-        if self.s < 1:
-            raise ValueError("s must be at least 1")
-        if min(self.max_iter, self.n_restarts) < 1:
-            raise ValueError("iteration and restart counts must be positive")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
+        _require_counts(s=self.s, max_iter=self.max_iter, n_restarts=self.n_restarts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +70,6 @@ class FitResult:
     loglik_trace: np.ndarray
     converged: bool
     n_iter: int
-    best_of: int
 
     def __post_init__(self):
         trace = np.asarray(self.loglik_trace, dtype=float)
@@ -286,7 +283,7 @@ def _em_single(data, config, seed, strategy, allow_degenerate):
     converged = False
     for _ in range(config.max_iter):
         resp, loglik, _ = _e_step(coords, model)
-        if trace and (loglik - trace[-1]) < config.rel_tol * max(1.0, abs(loglik)):
+        if trace and (loglik - trace[-1]) < REL_TOL * max(1.0, abs(loglik)):
             trace.append(loglik)
             converged = True
             break
@@ -342,5 +339,4 @@ def em_fit(data, config):
         loglik_trace=trace,
         converged=converged,
         n_iter=len(trace) - 1,
-        best_of=config.n_restarts,
     )

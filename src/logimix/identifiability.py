@@ -25,13 +25,15 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment, minimize
 from scipy.special import expit, roots_legendre
 
-from ._util import rng_from_seed, spawn_seeds
+from ._util import _require_counts, rng_from_seed, spawn_seeds
 from .mixture import _mixture_cdf, _model, model_to_dict
 from .mld import _cdf
 
-DISTINCT_GAP = 1e-3   # sup-norm gap above which two mixtures count as distinct
-EQUAL_GAP = 1e-9      # default gap below which they count as equal
-MIN_PARAM_GAP = 0.1   # separation enforced when drawing "distinct" models
+DISTINCT_GAP = 1e-3     # sup-norm gap above which two mixtures count as distinct
+EQUAL_GAP = 1e-9        # sup-norm gap below which they count as equal
+PARAM_EQUAL_GAP = 1e-6  # matched parameter gap below which they count as equal
+NEAR_GAP = 1e-10        # probe gap below which a separated pair is a counterexample candidate
+MIN_PARAM_GAP = 0.1     # separation enforced when drawing "distinct" models
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,13 +146,6 @@ class GridSpec:
             raise ValueError("GridSpec.span must be finite and positive, got %r" % (span,))
 
 
-def _require_counts(**counts):
-    """Raise ValueError naming the first count that is not an integer >= 1."""
-    for name, value in counts.items():
-        if not (isinstance(value, numbers.Integral) and value >= 1):
-            raise ValueError("%s must be an integer >= 1, got %r" % (name, value))
-
-
 # ---------------------------------------------------------------------------
 # Gram matrix of component cdfs
 
@@ -191,6 +186,7 @@ def gram_min_eigenvalue(components, nodes_per_axis=64):
     doubling nodes; a >10% relative shift of the smallest eigenvalue (beyond
     the rank tolerance) marks the report as not converged.
     """
+    _require_counts(nodes_per_axis=nodes_per_axis)
     components = tuple(components)
     if not components:
         raise ValueError("need at least one component")
@@ -448,13 +444,13 @@ def matched_param_distance(m1, m2):
     return float(dmat[rows, cols].max()), tuple(int(c) for c in cols)
 
 
-def mixture_equality_test(m1, m2, grid_spec=None, dist_tol=EQUAL_GAP, param_tol=1e-6):
+def mixture_equality_test(m1, m2, grid_spec=None):
     """Compare two mixtures as distributions and as parameter multisets.
 
     Distribution equality is judged by the sup norm of the cdf difference on
-    a tensor grid pooled from both models.  Parameter equality searches
-    component matchings by assignment on a scale-aware metric
-    (max of |d mu|, |d log sigma|, |d weight|).
+    a tensor grid pooled from both models, equal below EQUAL_GAP.  Parameter
+    equality searches component matchings by assignment on a scale-aware
+    metric (max of |d mu|, |d log sigma|, |d weight|), equal below PARAM_EQUAL_GAP.
     """
     if m1.p != m2.p:
         raise ValueError("models have different dimensions %d and %d" % (m1.p, m2.p))
@@ -463,10 +459,10 @@ def mixture_equality_test(m1, m2, grid_spec=None, dist_tol=EQUAL_GAP, param_tol=
     max_gap, perm = matched_param_distance(m1, m2)
     return EqualityReport(
         sup_norm_cdf_gap=gap,
-        equal_distribution=bool(gap < dist_tol),
+        equal_distribution=bool(gap < EQUAL_GAP),
         matched_permutation=perm,
         max_param_gap=max_gap,
-        equal_parameters=bool(perm is not None and max_gap < param_tol),
+        equal_parameters=bool(perm is not None and max_gap < PARAM_EQUAL_GAP),
     )
 
 
@@ -496,7 +492,7 @@ def _random_model(p, s, rng, shared_scale, sigma=None):
         gaps = _component_gaps(mu, sig, mu, sig)
         if np.all((gaps >= MIN_PARAM_GAP) | np.eye(s, dtype=bool)):
             return _model(_random_weights(s, rng), mu, sig)
-    raise RuntimeError("failed to draw a separated random model")
+    raise ValueError("cannot draw s=%d separated components in p=%d dimensions" % (s, p))
 
 
 def _random_model_pair(p, s, rng, shared_scale):
@@ -577,16 +573,16 @@ def _unflatten_model(theta, p, s):
     return _model(w, mu, np.exp(np.clip(log_sigma, -20, 20)))
 
 
-def probe_open_problem(p, s, n_trials, seed, near_tol=1e-10):
+def probe_open_problem(p, s, n_trials, seed):
     """Exploratory near-collision search for per-component-scale models.
 
     Random pairs of well-separated models (parameter distance above 0.1) are
     scored by their sup-norm cdf gap; the best pair is then refined by local
     minimization of the gap with a penalty keeping the pair separated.  The
     smallest gap found and the witnessing pair are reported.  A gap below
-    ``near_tol`` at parameter distance above 0.1 is only flagged as a
-    counterexample candidate for manual study, never asserted as a verdict.
-    ``n_trials`` must be an integer >= 1.
+    NEAR_GAP (reported as ``near_tol``) at parameter distance above 0.1 is
+    only flagged as a counterexample candidate for manual study, never
+    asserted as a verdict.  ``n_trials`` must be an integer >= 1.
     """
     _require_counts(p=p, s=s, n_trials=n_trials)
     p, s, n_trials = int(p), int(s), int(n_trials)
@@ -635,11 +631,11 @@ def probe_open_problem(p, s, n_trials, seed, near_tol=1e-10):
         "s": s,
         "seed": int(seed),
         "n_trials": n_trials,
-        "near_tol": float(near_tol),
+        "near_tol": NEAR_GAP,
         "smallest_gap": float(smallest),
         "param_distance": float(final_dist),
         "witness_pair": [model_to_dict(witness[0]), model_to_dict(witness[1])],
-        "counterexample_candidate": bool(smallest < near_tol and final_dist > MIN_PARAM_GAP),
+        "counterexample_candidate": bool(smallest < NEAR_GAP and final_dist > MIN_PARAM_GAP),
     }
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import open_uniform, rng_from_seed, spawn_seeds, write_text_atomic
+from ._util import _require_counts, open_uniform, rng_from_seed, spawn_seeds, write_text_atomic
 from .mld import (
     MldParams, _as_points, _cdf, _coordinate_major, _log_pdf_parts, _scalar_or_array, sample,
 )
@@ -140,9 +140,7 @@ def sample_mixture(model, n, seed):
     are generated by the exact single-component sampler on an independent
     child stream.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _require_counts(n=n)
     rng = rng_from_seed(seed)
     cum = np.cumsum(model.weights)
     cum[-1] = 1.0

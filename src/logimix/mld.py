@@ -40,7 +40,7 @@ from math import lgamma
 import numpy as np
 from scipy.special import expit
 
-from ._util import log1p_sum_exp_neg, open_uniform, rng_from_seed
+from ._util import _require_counts, log1p_sum_exp_neg, open_uniform, rng_from_seed
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,9 +217,7 @@ def sample(params, n, seed):
     ``conditional_quantile`` with the running prefix sum, then the standardized
     vector is mapped through x = mu + sigma * z.  Deterministic given ``seed``.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _require_counts(n=n)
     rng = rng_from_seed(seed)
     p = params.p
     u = open_uniform(rng, (n, p))

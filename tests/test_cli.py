@@ -247,6 +247,50 @@ def test_bad_dimension_or_component_count_exit_1(command, flag, tmp_path, capsys
     assert not out.exists()
 
 
+def test_unseparable_trial_models_exit_1(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run([
+            "check-id", "--mode", "trial", "--p", "1", "--s", "60", "--trials", "1",
+            "--out", str(out),
+        ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot draw s=60 separated components in p=1 dimensions")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["fit", "--s", "2"],
+    ["check-id", "--mode", "trial", "--p", "1", "--s", "2", "--trials", "2"],
+    ["probe-open", "--p", "2", "--s", "2", "--trials", "2"],
+])
+def test_negative_seed_exit_1(command, model_path, tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    run(["sample", "--model", str(model_path), "--n", "50", "--out", str(data)])
+    if command[0] == "fit":
+        command = command + ["--data", str(data), "--report", str(tmp_path / "report.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(command + ["--seed", "-1", "--out", str(tmp_path / "out.json")])
+    assert code == 1
+    assert "error: seed must fit in an unsigned 64-bit integer" in capsys.readouterr().err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["d.csv", "model.json"]
+
+
+def test_check_id_gram_zero_nodes_exit_1(model_path, tmp_path, capsys):
+    out = tmp_path / "gram.json"
+    code = run([
+        "check-id", "--mode", "gram", "--model", str(model_path), "--nodes", "0",
+        "--out", str(out),
+    ])
+    assert code == 1
+    assert "error: nodes_per_axis must be an integer >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field, value", [("weights", {"a": 1}), ("components", 5), ("p", "1")])
 def test_malformed_model_file_exit_1(model_path, tmp_path, capsys, field, value):
     doc = json.loads(model_path.read_text())
@@ -264,6 +308,13 @@ def test_malformed_model_file_exit_1(model_path, tmp_path, capsys, field, value)
     ["fit", "--data", "d.csv", "--s", "2", "--out", "m.json", "--m-step-tol", "1e-6"],
     ["collapse", "--model", "m.json", "--coords", "0,1", "--offsets", "0,0",
      "--out", "c.json", "--seed", "0"],
+    ["fit", "--data", "d.csv", "--s", "2", "--out", "m.json", "--rel-tol", "1e-8"],
+    ["check-id", "--mode", "equality", "--model", "m.json", "--model2", "m.json",
+     "--out", "eq.json", "--dist-tol", "1e-9"],
+    ["check-id", "--mode", "equality", "--model", "m.json", "--model2", "m.json",
+     "--out", "eq.json", "--param-tol", "1e-6"],
+    ["probe-open", "--p", "2", "--s", "2", "--trials", "3", "--out", "p.json",
+     "--near-tol", "1e-10"],
 ])
 def test_removed_options_exit_1(argv, capsys):
     assert run(argv) == 1

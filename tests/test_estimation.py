@@ -369,5 +369,20 @@ class TestFitResultInvariant:
                 loglik_trace=np.array([-10.0, -10.5]),
                 converged=True,
                 n_iter=1,
-                best_of=1,
             )
+
+
+_ONE_COMPONENT = lm.MixtureModel([1.0], (lm.MldParams([0.0], [1.0]),))
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: lm.FitConfig(s=1.5), "s"),
+    (lambda: lm.FitConfig(s=2, max_iter=2.5), "max_iter"),
+    (lambda: lm.FitConfig(s=2, n_restarts=0), "n_restarts"),
+    (lambda: lm.sample_mixture(_ONE_COMPONENT, 2.5, 0), "n"),
+    (lambda: lm.sample(_ONE_COMPONENT.components[0], 0, 0), "n"),
+    (lambda: lm.gram_min_eigenvalue(_ONE_COMPONENT.components, nodes_per_axis=0), "nodes_per_axis"),
+])
+def test_bad_count_raises_value_error_naming_it(call, name):
+    with pytest.raises(ValueError, match="^%s must be an integer >= 1, got " % name):
+        call()

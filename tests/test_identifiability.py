@@ -349,7 +349,7 @@ class TestEqualityTest:
         shifted = lm.MixtureModel(
             [0.4, 0.6], (mld1(-1.0 + 1e-5, 1.0), mld1(1.0, 1.0))
         )
-        rep = lm.mixture_equality_test(m1, shifted, param_tol=1e-6)
+        rep = lm.mixture_equality_test(m1, shifted)
         assert not rep.equal_parameters
         assert rep.max_param_gap == pytest.approx(1e-5, rel=1e-6)
         assert rep.equal_distribution is False or rep.sup_norm_cdf_gap >= 0
@@ -450,6 +450,11 @@ class TestTrials:
                     p=2, s=2, shared_scale=shared_scale, seed=0, n_trials=n_trials
                 )
 
+    def test_unseparable_models_raise_clear_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="s=60 separated components in p=1 dimensions"):
+                lm.identifiability_trial(p=1, s=60, shared_scale=False, seed=0, n_trials=1)
 
     @pytest.mark.parametrize("p, s, bad", [
         (0, 2, "p"), (-1, 2, "p"), (1.5, 2, "p"), (1, 0, "s"), (2, -1, "s"), (1, "2", "s"),
