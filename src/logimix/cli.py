@@ -16,7 +16,6 @@ import numpy as np
 from ._util import write_text_atomic
 from .estimation import FitConfig, em_fit
 from .identifiability import (
-    GridSpec,
     _evaluation_grid,
     collapse_pair,
     gram_min_eigenvalue,
@@ -89,6 +88,10 @@ def _cmd_sample(args):
 def _cmd_eval(args):
     model = load_model(args.model)
     data = load_dataset(args.data)
+    if args.emit_plot_data:
+        if model.p != 1:
+            raise _CliError("--emit-plot-data requires a one-dimensional model")
+        xs = _evaluation_grid((model,), points_per_axis=401)[0]
     rows = np.atleast_1d(mixture_log_pdf(data, model))
     report = {
         "seed": args.seed,
@@ -98,9 +101,6 @@ def _cmd_eval(args):
     }
     _write_json(args.out, report)
     if args.emit_plot_data:
-        if model.p != 1:
-            raise _CliError("--emit-plot-data requires a one-dimensional model")
-        xs = _evaluation_grid((model,), GridSpec(points_per_axis=401))[0]
         pts = xs[:, None]
         pdf = np.atleast_1d(mixture_pdf(pts, model))
         cdf = np.atleast_1d(mixture_cdf(pts, model))
@@ -150,11 +150,7 @@ def _cmd_check_id(args):
     if args.mode == "equality":
         if not (args.model and args.model2):
             raise _CliError("equality mode needs --model and --model2")
-        rep = mixture_equality_test(
-            load_model(args.model),
-            load_model(args.model2),
-            grid_spec=GridSpec(points_per_axis=args.grid_points, span=args.grid_span),
-        )
+        rep = mixture_equality_test(load_model(args.model), load_model(args.model2))
         _write_json(args.out, {"seed": args.seed, **rep.to_dict()})
         return 0
     if args.mode == "trial":
@@ -225,8 +221,6 @@ def _build_parser():
     p_check.add_argument("--shared-scale", action="store_true")
     p_check.add_argument("--trials", type=int, default=100)
     p_check.add_argument("--nodes", type=int, default=64)
-    p_check.add_argument("--grid-points", type=int, default=41)
-    p_check.add_argument("--grid-span", type=float, default=10.0)
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--out", required=True)
     p_check.set_defaults(func=_cmd_check_id)

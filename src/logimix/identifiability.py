@@ -11,13 +11,14 @@ distributions.  This module probes that property from several angles:
   coefficient to zero.
 * A dimension-collapse construction merging two coordinates of a shared-scale
   model into one, reducing multivariate questions to fewer coordinates.
-* A sup-norm cdf comparison on a finite grid as the numerical surrogate for
-  distribution equality, plus randomized trial harnesses and an exploratory
-  near-collision search for the regime with per-component scales.
+* A sup-norm cdf comparison on a fixed grid as the numerical surrogate for
+  distribution equality: GRID_POINTS points per axis over every component's
+  mu +- GRID_SPAN sigma, for p <= 4.  Randomized trial harnesses and an
+  exploratory near-collision search for the regime with per-component scales
+  are built on it.
 """
 
 import itertools
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,13 +28,15 @@ from scipy.special import expit, roots_legendre
 
 from ._util import _require_counts, rng_from_seed, spawn_seeds
 from .mixture import _mixture_cdf, _model, model_to_dict
-from .mld import _cdf
+from .mld import _cdf, _stack_components
 
 DISTINCT_GAP = 1e-3     # sup-norm gap above which two mixtures count as distinct
 EQUAL_GAP = 1e-9        # sup-norm gap below which they count as equal
 PARAM_EQUAL_GAP = 1e-6  # matched parameter gap below which they count as equal
 NEAR_GAP = 1e-10        # probe gap below which a separated pair is a counterexample candidate
 MIN_PARAM_GAP = 0.1     # separation enforced when drawing "distinct" models
+GRID_POINTS = 41        # equality grid points per axis
+GRID_SPAN = 10.0        # equality grid half-width, in component scales
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,15 +47,12 @@ class LinearCombination:
     components: tuple
 
     def __post_init__(self):
+        comps = _stack_components(self.components)[0]
         coeffs = np.array(self.coeffs, dtype=float, ndmin=1)
-        comps = tuple(self.components)
-        if coeffs.ndim != 1 or coeffs.size < 1:
-            raise ValueError("coeffs must be a non-empty vector")
+        if coeffs.ndim != 1:
+            raise ValueError("coeffs must be a vector")
         if len(comps) != coeffs.size:
             raise ValueError("got %d coefficients for %d components" % (coeffs.size, len(comps)))
-        p = comps[0].p
-        if any(c.p != p for c in comps):
-            raise ValueError("components must share one dimension")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "components", comps)
@@ -131,21 +131,6 @@ class VandermondeReport:
         }
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Tensor evaluation grid: points per axis, spanning +-span pooled scales."""
-
-    points_per_axis: int = 41
-    span: float = 10.0
-
-    def __post_init__(self):
-        n, span = self.points_per_axis, self.span
-        if not (isinstance(n, numbers.Integral) and n >= 2):
-            raise ValueError("GridSpec.points_per_axis must be an integer >= 2, got %r" % (n,))
-        if not (isinstance(span, numbers.Real) and np.isfinite(span) and span > 0):
-            raise ValueError("GridSpec.span must be finite and positive, got %r" % (span,))
-
-
 # ---------------------------------------------------------------------------
 # Gram matrix of component cdfs
 
@@ -155,16 +140,17 @@ def _unit_gl_nodes(nodes):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _gram_matrix(components, nodes):
+def _gram_matrix(mu, sigma, nodes):
     """G_ij = integral of L_i * L_j against the product standard-logistic density.
 
     The substitution t = logistic_cdf(x) per coordinate absorbs the weight
     into the uniform measure on (0,1)^p, where tensor Gauss-Legendre applies.
-    Each component cdf is evaluated on the open grid of the per-axis nodes,
-    so its exponentials are taken once per axis node and each of the
-    nodes**p points costs p - 1 additions and one reciprocal.
+    Component i has row i of the (s, p) ``mu`` and ``sigma``.  Each component
+    cdf is evaluated on the open grid of the per-axis nodes, so its
+    exponentials are taken once per axis node and each of the nodes**p points
+    costs p - 1 additions and one reciprocal.
     """
-    p = components[0].p
+    p = mu.shape[1]
     t, w = _unit_gl_nodes(nodes)
     x = np.clip(np.log(t) - np.log1p(-t), -40.0, 40.0)
     grid = np.ix_(*([x] * p))
@@ -172,7 +158,7 @@ def _gram_matrix(components, nodes):
     for _ in range(p - 1):
         wts = np.multiply.outer(wts, w)
     wts = wts.ravel()
-    vals = np.stack([_cdf(grid, c.mu, c.sigma).ravel() for c in components])
+    vals = np.stack([_cdf(grid, m, sg).ravel() for m, sg in zip(mu, sigma)])
     gram = (vals * wts) @ vals.T
     return 0.5 * (gram + gram.T)
 
@@ -187,18 +173,14 @@ def gram_min_eigenvalue(components, nodes_per_axis=64):
     the rank tolerance) marks the report as not converged.
     """
     _require_counts(nodes_per_axis=nodes_per_axis)
-    components = tuple(components)
-    if not components:
-        raise ValueError("need at least one component")
-    p = components[0].p
-    if any(c.p != p for c in components):
-        raise ValueError("components must share one dimension")
+    _, mu, sigma = _stack_components(components)
+    p = mu.shape[1]
     if p > 3:
         raise ValueError("gram check supports p <= 3 (quadrature cost grows as nodes**p)")
-    gram = _gram_matrix(components, nodes_per_axis)
+    gram = _gram_matrix(mu, sigma, nodes_per_axis)
     eigs = np.linalg.eigvalsh(gram)
     rank_tol = 1e-8 * eigs[-1]
-    refined = np.linalg.eigvalsh(_gram_matrix(components, 2 * nodes_per_axis))
+    refined = np.linalg.eigvalsh(_gram_matrix(mu, sigma, 2 * nodes_per_axis))
     shift = abs(refined[0] - eigs[0])
     converged = shift <= 0.1 * max(abs(eigs[0]), abs(refined[0]), rank_tol)
     return GramReport(
@@ -346,9 +328,9 @@ def find_separating_offsets(components, coord_pair, seed):
     whose (mu[a], mu[b]) coincide are exempt from the distinctness requirement.
     Tries (0, 0) first, then up to 1000 uniform draws from [-5, 5]^2.
     """
-    mu = np.array([c.mu for c in components])
+    _, mu, sigma = _stack_components(components)
     a, b = _coordinate_pair(coord_pair, mu.shape[1], "need at least two coordinates")
-    sigma = _require_shared_sigma(np.array([c.sigma for c in components]), "offset search")
+    sigma = _require_shared_sigma(sigma, "offset search")
     pair_mus = mu[:, [a, b]]
     required = [
         (i, j)
@@ -402,25 +384,31 @@ def collapse_pair(model, coord_pair, y_a, y_b):
 # Distribution equality on a grid
 
 
-def _evaluation_grid(models, spec):
-    """Open tensor grid (``np.ix_``) of evenly spaced per-axis points.
+def _evaluation_grid(models, points_per_axis=GRID_POINTS):
+    """Open tensor grid (``np.ix_``) of ``points_per_axis`` evenly spaced points per axis.
 
-    Each axis spans every component's mu +- span * sigma; a span beyond the
-    float range raises ValueError.
+    Each axis spans every component's mu +- GRID_SPAN * sigma; a span beyond
+    the float range raises ValueError.  The grid has points_per_axis**p
+    points, so p > 4 raises ValueError too: at GRID_POINTS, p = 5 would give
+    41**5 (about 1.2e8) points, some 0.9 GB per float array over the grid.
     """
-    spec = spec or GridSpec()
     mu = np.concatenate([m._mu for m in models])
     sigma = np.concatenate([m._sigma for m in models])
+    if mu.shape[1] > 4:
+        raise ValueError(
+            "evaluation grid supports p <= 4 (it has %d**p points), got p=%d"
+            % (points_per_axis, mu.shape[1])
+        )
     with np.errstate(over="ignore"):
-        los = np.min(mu - spec.span * sigma, axis=0)
-        his = np.max(mu + spec.span * sigma, axis=0)
+        los = np.min(mu - GRID_SPAN * sigma, axis=0)
+        his = np.max(mu + GRID_SPAN * sigma, axis=0)
         bad = np.flatnonzero(~np.isfinite(his - los))
     if bad.size:
         raise ValueError(
             "evaluation grid span mu +- %g sigma overflows the float range on coordinate %d"
-            % (spec.span, bad[0])
+            % (GRID_SPAN, bad[0])
         )
-    return np.ix_(*(np.linspace(lo, hi, spec.points_per_axis) for lo, hi in zip(los, his)))
+    return np.ix_(*(np.linspace(lo, hi, points_per_axis) for lo, hi in zip(los, his)))
 
 
 def _component_gaps(mu1, sigma1, mu2, sigma2):
@@ -444,17 +432,20 @@ def matched_param_distance(m1, m2):
     return float(dmat[rows, cols].max()), tuple(int(c) for c in cols)
 
 
-def mixture_equality_test(m1, m2, grid_spec=None):
+def mixture_equality_test(m1, m2):
     """Compare two mixtures as distributions and as parameter multisets.
 
     Distribution equality is judged by the sup norm of the cdf difference on
-    a tensor grid pooled from both models, equal below EQUAL_GAP.  Parameter
-    equality searches component matchings by assignment on a scale-aware
-    metric (max of |d mu|, |d log sigma|, |d weight|), equal below PARAM_EQUAL_GAP.
+    a fixed tensor grid pooled from both models, equal below EQUAL_GAP.  The
+    grid has GRID_POINTS points per axis over every component's
+    mu +- GRID_SPAN sigma, and bounds the dimension to p <= 4; a larger p
+    raises ValueError.  Parameter equality searches component matchings by
+    assignment on a scale-aware metric (max of |d mu|, |d log sigma|,
+    |d weight|), equal below PARAM_EQUAL_GAP.
     """
     if m1.p != m2.p:
         raise ValueError("models have different dimensions %d and %d" % (m1.p, m2.p))
-    grid = _evaluation_grid((m1, m2), grid_spec)
+    grid = _evaluation_grid((m1, m2))
     gap = float(np.max(np.abs(_mixture_cdf(grid, m1) - _mixture_cdf(grid, m2))))
     max_gap, perm = matched_param_distance(m1, m2)
     return EqualityReport(

@@ -16,7 +16,8 @@ import numpy as np
 
 from ._util import _require_counts, open_uniform, rng_from_seed, spawn_seeds, write_text_atomic
 from .mld import (
-    MldParams, _as_points, _cdf, _coordinate_major, _log_pdf_parts, _scalar_or_array, sample,
+    MldParams, _as_points, _cdf, _coordinate_major, _log_pdf_parts, _scalar_or_array,
+    _stack_components, sample,
 )
 
 MODEL_FORMAT = "logimix-model-v1"
@@ -39,29 +40,21 @@ class MixtureModel:
     components: tuple
 
     def __post_init__(self):
+        comps, mu, sigma = _stack_components(self.components)
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        comps = tuple(self.components)
-        if w.ndim != 1 or w.size < 1:
-            raise ValueError("weights must be a non-empty 1-D vector")
+        if w.ndim != 1:
+            raise ValueError("weights must be a 1-D vector")
         if len(comps) != w.size:
             raise ValueError(
                 "got %d weights for %d components" % (w.size, len(comps))
             )
-        if not all(isinstance(c, MldParams) for c in comps):
-            raise ValueError("components must be MldParams instances")
-        p = comps[0].p
-        if any(c.p != p for c in comps):
-            raise ValueError("all components must share one dimension")
         if not np.all(np.isfinite(w)) or np.any(w < WEIGHT_FLOOR) or np.any(w > 1.0):
             raise ValueError("weights must lie in [%g, 1]" % WEIGHT_FLOOR)
         total = w.sum()
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError("weights sum to %.17g, not 1" % total)
         w = w / total
-        mu = np.array([c.mu for c in comps])
-        sigma = np.array([c.sigma for c in comps])
-        for a in (w, mu, sigma):
-            a.setflags(write=False)
+        w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "_mu", mu)

@@ -33,6 +33,7 @@ through ``_coordinate_major``, which also makes the array contiguous); the
 ``standard_*`` functions are the location-scale ones at mu = 0, sigma = 1.
 """
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import reduce
 from math import lgamma
@@ -78,6 +79,26 @@ class MldParams:
     @property
     def p(self):
         return self.mu.size
+
+
+def _stack_components(components):
+    """The components as a tuple, with their read-only (s, p) ``mu`` and ``sigma`` arrays.
+
+    Row i of each array is component i.  Raises ValueError unless
+    ``components`` is a non-empty sequence of MldParams that share one
+    dimension.  Every set of components the package accepts passes here.
+    """
+    comps = tuple(components) if isinstance(components, Iterable) else ()
+    if not comps or not all(isinstance(c, MldParams) for c in comps):
+        raise ValueError("components must be a non-empty sequence of MldParams")
+    dims = sorted({c.p for c in comps})
+    if len(dims) > 1:
+        raise ValueError("components must share one dimension, got p in %s" % dims)
+    mu = np.array([c.mu for c in comps])
+    sigma = np.array([c.sigma for c in comps])
+    mu.setflags(write=False)
+    sigma.setflags(write=False)
+    return comps, mu, sigma
 
 
 def _as_points(x, p):

@@ -115,6 +115,19 @@ def test_eval_plot_data_huge_scale_exit_1(tmp_path, capsys):
         ])
     assert code == 1
     assert "overflows the float range" in capsys.readouterr().err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["d.csv", "wide.json"]
+
+
+def test_eval_plot_data_two_dimensional_model_exit_1(model2d_path, tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("0.5,1.0\n-2.0,0.0\n")
+    code = run([
+        "eval", "--model", str(model2d_path), "--data", str(data),
+        "--out", str(tmp_path / "r.json"), "--emit-plot-data", str(tmp_path / "plot.csv"),
+    ])
+    assert code == 1
+    assert "--emit-plot-data requires a one-dimensional model" in capsys.readouterr().err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["d.csv", "model2d.json"]
 
 
 def test_fit_roundtrip(model_path, tmp_path):
@@ -191,26 +204,22 @@ def test_check_id_trial(tmp_path):
     assert doc["permuted_passes"] == 5
 
 
-@pytest.mark.parametrize("flag, value, message", [
-    ("--grid-points", "0", "GridSpec.points_per_axis must be"),
-    ("--grid-points", "1", "GridSpec.points_per_axis must be"),
-    ("--grid-points", "-3", "GridSpec.points_per_axis must be"),
-    ("--grid-points", "2.5", "invalid int value"),
-    ("--grid-span", "0", "GridSpec.span must be"),
-    ("--grid-span", "-1", "GridSpec.span must be"),
-    ("--grid-span", "nan", "GridSpec.span must be"),
-    ("--grid-span", "inf", "GridSpec.span must be"),
+@pytest.mark.parametrize("command", [
+    ["check-id", "--mode", "equality", "--model", "{m5}", "--model2", "{m5}"],
+    ["check-id", "--mode", "trial", "--p", "5", "--s", "2", "--trials", "3"],
+    ["probe-open", "--p", "5", "--s", "2", "--trials", "3"],
 ])
-def test_check_id_equality_bad_grid_exit_1(model_path, tmp_path, capsys, flag, value, message):
+def test_five_dimensional_equality_grid_exit_1(command, tmp_path, capsys):
+    m5 = tmp_path / "m5.json"
+    lm.save_model(lm.MixtureModel([1.0], (lm.MldParams(np.zeros(5), np.ones(5)),)), m5)
+    out = tmp_path / "report.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = run([
-            "check-id", "--mode", "equality", "--model", str(model_path),
-            "--model2", str(model_path), "--out", str(tmp_path / "eq.json"), flag, value,
-        ])
+        code = run([a.format(m5=m5) for a in command] + ["--out", str(out)])
     assert code == 1
-    assert message in capsys.readouterr().err
-    assert not (tmp_path / "eq.json").exists()
+    err = capsys.readouterr().err
+    assert "error: evaluation grid supports p <= 4 (it has 41**p points), got p=5" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("trials", ["0", "-1"])
@@ -315,6 +324,10 @@ def test_malformed_model_file_exit_1(model_path, tmp_path, capsys, field, value)
      "--out", "eq.json", "--param-tol", "1e-6"],
     ["probe-open", "--p", "2", "--s", "2", "--trials", "3", "--out", "p.json",
      "--near-tol", "1e-10"],
+    ["check-id", "--mode", "equality", "--model", "m.json", "--model2", "m.json",
+     "--out", "eq.json", "--grid-points", "41"],
+    ["check-id", "--mode", "equality", "--model", "m.json", "--model2", "m.json",
+     "--out", "eq.json", "--grid-span", "10"],
 ])
 def test_removed_options_exit_1(argv, capsys):
     assert run(argv) == 1

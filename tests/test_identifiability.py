@@ -381,22 +381,12 @@ class TestEqualityTest:
             with pytest.raises(ValueError, match="span .* overflows the float range on coordinate %d" % coord):
                 lm.mixture_equality_test(m1, m2)
 
-    @pytest.mark.parametrize("spec, field", [
-        ({"points_per_axis": 0}, "points_per_axis"),
-        ({"points_per_axis": 1}, "points_per_axis"),
-        ({"points_per_axis": -3}, "points_per_axis"),
-        ({"points_per_axis": 2.5}, "points_per_axis"),
-        ({"span": 0.0}, "span"),
-        ({"span": -1.0}, "span"),
-        ({"span": float("nan")}, "span"),
-        ({"span": float("inf")}, "span"),
-    ])
-    def test_bad_grid_spec_raises_clear_error(self, spec, field):
-        m = lm.MixtureModel([0.5, 0.5], (mld1(-1.0, 1.0), mld1(1.0, 0.5)))
+    def test_grid_rejects_more_than_four_dimensions(self):
+        m = lm.MixtureModel([1.0], (lm.MldParams(np.zeros(5), np.ones(5)),))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="GridSpec.%s must be" % field):
-                lm.mixture_equality_test(m, m, grid_spec=lm.GridSpec(**spec))
+            with pytest.raises(ValueError, match=r"supports p <= 4 .*, got p=5$"):
+                lm.mixture_equality_test(m, m)
 
     def test_param_distance_matrix_matches_pairwise_loop(self):
         rng = np.random.default_rng(12)
@@ -419,6 +409,24 @@ class TestEqualityTest:
         m2 = lm.MixtureModel([1.0], (lm.MldParams([0.0, 0.0], [1.0, 1.0]),))
         with pytest.raises(ValueError):
             lm.mixture_equality_test(m1, m2)
+
+
+@pytest.mark.parametrize("components", [
+    (),
+    (lm.MldParams([0.0, 0.0], [1.0, 1.0]), "x"),
+    (lm.MldParams([0.0, 0.0], [1.0, 1.0]), lm.MldParams([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])),
+], ids=["empty", "not-mld-params", "mixed-dimensions"])
+@pytest.mark.parametrize("entry_point", [
+    lambda comps: lm.MixtureModel(np.ones(len(comps)) / max(len(comps), 1), comps),
+    lambda comps: lm.LinearCombination(np.ones(len(comps)), comps),
+    lm.gram_min_eigenvalue,
+    lambda comps: lm.find_separating_offsets(comps, (0, 1), 0),
+], ids=["MixtureModel", "LinearCombination", "gram_min_eigenvalue", "find_separating_offsets"])
+def test_bad_component_sets_raise_clear_error(entry_point, components):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^components must"):
+            entry_point(components)
 
 
 class TestTrials:
