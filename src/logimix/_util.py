@@ -71,14 +71,29 @@ def log1p_sum_exp_neg(z):
 
 def write_text_atomic(path, text):
     """Write ``text`` to ``path`` via a temp file + rename in the same directory."""
-    path = os.fspath(path)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    write_texts_atomic([(path, text)])
+
+
+def write_texts_atomic(outputs):
+    """Write each ``(path, text)`` of ``outputs`` via a temp file + rename in its directory.
+
+    Every temp file is written before the first rename, so if any destination
+    cannot be created or written, none is touched.  An OSError names the
+    destination it concerns, not the temp file.
+    """
+    staged = []
+    path = None
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        for path, text in outputs:
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+            staged.append((tmp, path))
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
+    finally:
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from ._util import write_text_atomic
+from ._util import write_text_atomic, write_texts_atomic
 from .estimation import FitConfig, em_fit
 from .identifiability import (
     _evaluation_grid,
@@ -25,6 +25,7 @@ from .identifiability import (
     vandermonde_check,
 )
 from .mixture import (
+    _dataset_text,
     load_dataset,
     load_model,
     mixture_cdf,
@@ -55,8 +56,12 @@ def _sanitize(obj):
     return obj
 
 
+def _json_text(obj):
+    return json.dumps(_sanitize(obj), indent=2) + "\n"
+
+
 def _write_json(path, obj):
-    write_text_atomic(path, json.dumps(_sanitize(obj), indent=2) + "\n")
+    write_text_atomic(path, _json_text(obj))
 
 
 def _parse_floats(text, what):
@@ -99,12 +104,15 @@ def _cmd_eval(args):
         "total_log_likelihood": float(rows.sum()),
         "per_row_log_pdf": [float(v) for v in rows],
     }
-    _write_json(args.out, report)
+    outputs = [(args.out, _json_text(report))]
     if args.emit_plot_data:
         pts = xs[:, None]
         pdf = np.atleast_1d(mixture_pdf(pts, model))
         cdf = np.atleast_1d(mixture_cdf(pts, model))
-        save_dataset(np.column_stack([xs, pdf, cdf]), args.emit_plot_data, header="x,pdf,cdf")
+        plot = _dataset_text(np.column_stack([xs, pdf, cdf]), header="x,pdf,cdf")
+        outputs.append((args.emit_plot_data, plot))
+    # Both files or neither: a plot path that cannot be written leaves no report behind.
+    write_texts_atomic(outputs)
     return 0
 
 

@@ -11,7 +11,9 @@ floating-point slack (generalized EM).
 """
 
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -109,14 +111,42 @@ def component_log_pdf_grad(x, params):
     return base / params.sigma, np.moveaxis(z, 0, -1) * base - 1.0
 
 
-def _weighted_obj_derivs(data, resp, mu, log_sigma):
+# The arrays of one component at one (mu, sigma) that do not depend on the
+# responsibilities: sigma, the log density, z, w, z w, z^2 w and the stacked
+# (2p, n) [w / sigma; z w], with z and w as in ``_weighted_obj_derivs``.
+_Parts = namedtuple("_Parts", "sigma log_pdf z w zw zzw stacked")
+
+
+def _component_parts(data, mu, sigma):
+    """The ``_Parts`` of one component at coordinate-major points ``data`` (p, n).
+
+    ``sigma`` is kept as given, so it must not be written to afterwards.
+    """
+    log_pdf, z, log_denom = _log_pdf_parts(data, mu, sigma)
+    w = np.exp(-z - log_denom)
+    stacked = np.concatenate([w / sigma[:, None], z * w])
+    zw = stacked[z.shape[0]:]
+    return _Parts(sigma, log_pdf, z, w, zw, zw * z, stacked)
+
+
+@lru_cache(maxsize=None)
+def _correction_index(p):
+    """Row and column indices of the Hessian entries (mu_k, mu_k), (mu_k, log sigma_k),
+    (log sigma_k, log sigma_k) and (log sigma_k, mu_k), k < p, in that order."""
+    k = np.arange(p)
+    return np.concatenate([k, k, p + k, p + k]), np.concatenate([k, p + k, p + k, k])
+
+
+def _weighted_obj_derivs(data, resp, mu, log_sigma, parts=None):
     """Objective, gradient and Hessian of the M-step in (mu, log sigma).
 
     The objective is the responsibility-weighted mean log density, which has
     the same maximizer as the weighted sum and keeps the natural Newton step
     near unity regardless of the dataset size.  Parameters are ordered
     (mu_1, ..., mu_p, log sigma_1, ..., log sigma_p).  ``data`` is
-    coordinate-major, shape (p, n).  With z = (x - mu)/sigma,
+    coordinate-major, shape (p, n).  ``parts`` are the component's
+    ``_component_parts`` at (mu, exp(log sigma)); they are computed from
+    ``data`` when not given.  With z = (x - mu)/sigma,
     w_k = exp(-z_k)/(1 + sum_j exp(-z_j)) and g_k = (p+1) w_k - 1, a row's log
     density has z-gradient g and z-Hessian H_z = (p+1)(w w' - diag w), so
 
@@ -128,27 +158,35 @@ def _weighted_obj_derivs(data, resp, mu, log_sigma):
     (p, n) arrays and sqrt(r) u is one (2p, n) array, so the weighted sums of
     u u' go through one (2p, n) x (n, 2p) product and the diagonal terms
     through (p, n) x (n,) products; no per-row 2p x 2p array is formed.
+    u u' is exactly symmetric (numpy computes a product with its own
+    transpose through syrk), so each cross correction is subtracted from both
+    off-diagonal blocks in one scatter.
     """
+    if parts is None:
+        parts = _component_parts(data, mu, np.exp(log_sigma))
+    sigma, log_pdf, z, w, zw, zzw, stacked = parts
     p = mu.size
     total = resp.sum()
-    sigma = np.exp(log_sigma)
-    log_pdf, z, log_denom = _log_pdf_parts(data, mu, sigma)
     obj = float(np.dot(resp, log_pdf)) / total
-    w = np.exp(-z - log_denom)
-    zw = z * w
-    u = np.sqrt(resp) * np.concatenate([w / sigma[:, None], zw])
-    rw, rzw, rz, rzzw = w @ resp, zw @ resp, z @ resp, (zw * z) @ resp
+    u = np.sqrt(resp) * stacked
+    rw, rzw, rz, rzzw = w @ resp, zw @ resp, z @ resp, zzw @ resp
     rg = (p + 1) * rw - total  # sum_i r_i g_ik
     rzg = (p + 1) * rzw - rz  # sum_i r_i z_ik g_ik
     grad = -np.concatenate([rg / sigma, rzg + total]) / total
     hess = (p + 1) * (u @ u.T)
-    k = np.arange(p)
-    hess[k, k] -= (p + 1) * rw / sigma**2
-    hess[k, p + k] -= ((p + 1) * rzw - rg) / sigma
-    hess[p + k, p + k] -= (p + 1) * rzzw - rzg
-    hess[p + k, k] = hess[k, p + k]
+    cross = ((p + 1) * rzw - rg) / sigma
+    hess[_correction_index(p)] -= np.concatenate(
+        [(p + 1) * rw / sigma**2, cross, (p + 1) * rzzw - rzg, cross]
+    )
     hess /= total
     return obj, grad, hess
+
+
+@lru_cache(maxsize=None)
+def _identity(n):
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
 
 
 def _newton_direction(grad, hess):
@@ -162,7 +200,7 @@ def _newton_direction(grad, hess):
     gradient step; if no finite shift works the direction is zero.
     """
     neg_h = -hess if np.isfinite(hess).all() else np.zeros_like(hess)
-    eye = np.eye(grad.size)
+    eye = _identity(grad.size)
     lam = 0.0
     while lam < np.inf:
         factor, info = dpotrf(neg_h + lam * eye, lower=0, clean=0)
@@ -172,11 +210,13 @@ def _newton_direction(grad, hess):
     return np.zeros_like(grad)
 
 
-def _ascend(data, resp, mu, log_sigma, iters=MAX_NEWTON_STEPS):
+def _ascend(data, resp, mu, log_sigma, iters=MAX_NEWTON_STEPS, parts=None):
     """Damped Newton ascent of the M-step objective in (mu, log sigma).
 
     ``data`` is coordinate-major, shape (p, n), as ``_weighted_obj_derivs``
-    takes it.  Each step solves (lam I - H) d = g, where lam is a Levenberg shift added
+    takes it, and ``parts`` are the component's parts at the start, computed
+    when not given.  Returns the accepted (mu, log sigma) and its parts.
+    Each step solves (lam I - H) d = g, where lam is a Levenberg shift added
     (and doubled) only while -H is not positive definite or not finite; a
     large shift turns d into a scaled gradient step.  The step length is
     halved from 1 until the objective improves, and only an improving step is
@@ -193,7 +233,9 @@ def _ascend(data, resp, mu, log_sigma, iters=MAX_NEWTON_STEPS):
     noise = np.finfo(float).eps * np.sqrt(data.shape[1])
     # Trial points may overflow; a non-finite objective is never accepted.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        obj, grad, hess = _weighted_obj_derivs(data, resp, mu, log_sigma)
+        if parts is None:
+            parts = _component_parts(data, mu, np.exp(log_sigma))
+        obj, grad, hess = _weighted_obj_derivs(data, resp, mu, log_sigma, parts)
         for _ in range(iters):
             if not np.sqrt(grad @ grad) >= NEWTON_GTOL:
                 break
@@ -203,16 +245,17 @@ def _ascend(data, resp, mu, log_sigma, iters=MAX_NEWTON_STEPS):
             step = 1.0
             while step >= 2.0**-60:
                 cand = theta + step * d
+                cand_parts = _component_parts(data, cand[:p], np.exp(cand[p:]))
                 cand_obj, cand_grad, cand_hess = _weighted_obj_derivs(
-                    data, resp, cand[:p], cand[p:]
+                    data, resp, cand[:p], cand[p:], cand_parts
                 )
                 if cand_obj > obj:
                     break
                 step *= 0.5
             else:
                 break
-            theta, obj, grad, hess = cand, cand_obj, cand_grad, cand_hess
-    return theta[:p], theta[p:]
+            theta, obj, grad, hess, parts = cand, cand_obj, cand_grad, cand_hess, cand_parts
+    return theta[:p], theta[p:], parts
 
 
 def init_params(data, s, seed, strategy="quantile"):
@@ -249,20 +292,20 @@ def init_params(data, s, seed, strategy="quantile"):
     return _model(np.full(s, 1.0 / s), centers, scale)
 
 
-def _e_step(data, model):
+def _e_step(data, model, log_pdfs=None):
     """Responsibilities, log-likelihood and number of underflowed rows.
 
     ``data`` is coordinate-major, shape (p, ...), and the responsibilities
-    are component-major, shape (s, ...), like ``_weighted_log_pdfs``.  A row
-    at which every component density underflows to zero gets uniform
-    responsibilities and adds -1e300 to the log-likelihood, which keeps EM
-    traces finite and comparable.
+    are component-major, shape (s, ...), like ``_weighted_log_pdfs``, which
+    also takes ``log_pdfs``.  A row at which every component density
+    underflows to zero gets uniform responsibilities and adds -1e300 to the
+    log-likelihood, which keeps EM traces finite and comparable.
     """
     with np.errstate(over="ignore"):
-        lp = _weighted_log_pdfs(data, model)
+        lp = _weighted_log_pdfs(data, model, log_pdfs)
     row_ll = np.logaddexp.reduce(lp, axis=0)
     bad = ~np.isfinite(row_ll)
-    if np.any(bad):
+    if bad.any():
         lp[:, bad] = -np.log(model.s)
         row_ll[bad] = -1e300
     resp = np.exp(lp - np.where(bad, 0.0, row_ll))
@@ -275,14 +318,20 @@ def _em_single(data, config, seed, strategy, allow_degenerate):
 
     The M-step overwrites rows of (s, p) mu and sigma arrays.  They carry
     sigma, not log sigma: exp(log(sigma)) need not round back to sigma.
+    ``parts[i]`` are always component i's ``_Parts`` at (mu[i], sigma[i]): the
+    E-step takes its log densities from them, and an ascent starts from them
+    when exp(log(sigma[i])) does round back to sigma[i], so every iteration
+    computes each component's parts only at the M-step's trial points.
     """
     model = init_params(data, config.s, seed, strategy)
     mu, sigma = model._mu.copy(), model._sigma.copy()
     coords = _coordinate_major(data)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        parts = [_component_parts(coords, m, sg) for m, sg in zip(model._mu, model._sigma)]
     trace = []
     converged = False
     for _ in range(config.max_iter):
-        resp, loglik, _ = _e_step(coords, model)
+        resp, loglik, _ = _e_step(coords, model, [pt.log_pdf for pt in parts])
         if trace and (loglik - trace[-1]) < REL_TOL * max(1.0, abs(loglik)):
             trace.append(loglik)
             converged = True
@@ -290,18 +339,20 @@ def _em_single(data, config, seed, strategy, allow_degenerate):
         trace.append(loglik)
         totals = resp.sum(axis=1)
         starved = totals < DEGENERATE_RESP_TOTAL
-        if np.any(starved) and not allow_degenerate:
+        if starved.any() and not allow_degenerate:
             return None
         weights = np.maximum(totals / data.shape[0], WEIGHT_FLOOR)
         weights = weights / weights.sum()
         for i in np.flatnonzero(~starved):
-            mu_i, log_sigma = _ascend(coords, resp[i], mu[i], np.log(sigma[i]))
-            mu[i], sigma[i] = mu_i, np.exp(log_sigma)
+            log_sigma = np.log(sigma[i])
+            start = parts[i] if (np.exp(log_sigma) == sigma[i]).all() else None
+            mu[i], _, parts[i] = _ascend(coords, resp[i], mu[i], log_sigma, parts=start)
+            sigma[i] = parts[i].sigma
         # MixtureModel renormalises the weights again; fits depend on that rounding.
         model = _model(weights, mu, sigma)
     else:
         # Cap reached: refresh the trace so it reflects the final model.
-        _, loglik, _ = _e_step(coords, model)
+        _, loglik, _ = _e_step(coords, model, [pt.log_pdf for pt in parts])
         trace.append(loglik)
     return model, np.asarray(trace), converged
 

@@ -34,6 +34,7 @@ class MixtureModel:
 
     The weights become a read-only (s,) array that sums to 1; the components'
     locations and scales are also kept as the read-only (s, p) ``_mu`` and ``_sigma``.
+    A model built by ``_model`` from those arrays makes its ``components`` on first read.
     """
 
     weights: np.ndarray
@@ -41,14 +42,19 @@ class MixtureModel:
 
     def __post_init__(self):
         comps, mu, sigma = _stack_components(self.components)
-        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
+        object.__setattr__(self, "components", comps)
+        self._set_arrays(self.weights, mu, sigma)
+
+    def _set_arrays(self, weights, mu, sigma):
+        """Check the weights against the checked, read-only (s, p) ``mu`` and store all three."""
+        w = np.atleast_1d(np.asarray(weights, dtype=float))
         if w.ndim != 1:
             raise ValueError("weights must be a 1-D vector")
-        if len(comps) != w.size:
+        if mu.shape[0] != w.size:
             raise ValueError(
-                "got %d weights for %d components" % (w.size, len(comps))
+                "got %d weights for %d components" % (w.size, mu.shape[0])
             )
-        if not np.all(np.isfinite(w)) or np.any(w < WEIGHT_FLOOR) or np.any(w > 1.0):
+        if not np.isfinite(w).all() or (w < WEIGHT_FLOOR).any() or (w > 1.0).any():
             raise ValueError("weights must lie in [%g, 1]" % WEIGHT_FLOOR)
         total = w.sum()
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
@@ -56,9 +62,16 @@ class MixtureModel:
         w = w / total
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "components", comps)
         object.__setattr__(self, "_mu", mu)
         object.__setattr__(self, "_sigma", sigma)
+
+    def __getattr__(self, name):
+        # Reached only for an attribute not set yet: the components of a model from ``_model``.
+        if name != "components":
+            raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
+        comps = tuple(map(MldParams, self._mu, self._sigma))
+        object.__setattr__(self, "components", comps)
+        return comps
 
     @property
     def p(self):
@@ -71,9 +84,22 @@ class MixtureModel:
 
 def _model(weights, mu, sigma):
     """MixtureModel whose component i has row i of (s, p) ``mu`` and ``sigma``; a (p,)
-    ``sigma`` is shared by every component."""
-    sigma = np.broadcast_to(sigma, np.shape(mu))
-    return MixtureModel(weights, tuple(map(MldParams, mu, sigma)))
+    ``sigma`` is shared by every component.
+
+    The arrays are copied and checked as ``MldParams`` checks each row, with its
+    messages, and the weights as ``MixtureModel`` checks them.
+    """
+    mu = np.array(mu, dtype=float)
+    sigma = np.array(np.broadcast_to(sigma, mu.shape), dtype=float)
+    if not np.isfinite(mu).all():
+        raise ValueError("mu must be finite")
+    if not np.isfinite(sigma).all() or (sigma <= 0.0).any():
+        raise ValueError("sigma must be finite and strictly positive")
+    mu.setflags(write=False)
+    sigma.setflags(write=False)
+    model = object.__new__(MixtureModel)
+    model._set_arrays(weights, mu, sigma)
+    return model
 
 
 def mixture_cdf(x, model):
@@ -92,18 +118,18 @@ def _mixture_cdf(coords, model):
     return np.clip(out, 0.0, 1.0)
 
 
-def _weighted_log_pdfs(x, model):
+def _weighted_log_pdfs(x, model, log_pdfs=None):
     """log pi_i + log l_i(x) for validated coordinate-major points x (p, ...).
 
     The result is component-major, shape (s, ...).  ``mixture_log_pdf`` and
     the EM E-step both reduce it over its leading axis, one elementwise
     ``logaddexp`` pass per further component, so the public log-likelihood
-    and the EM trace are one computation.
+    and the EM trace are one computation.  ``log_pdfs``, when given, are the
+    components' log densities at x, which EM keeps from its M-step.
     """
-    return np.stack(
-        [np.log(w) + _log_pdf_parts(x, mu, sigma)[0]
-         for w, mu, sigma in zip(model.weights, model._mu, model._sigma)]
-    )
+    if log_pdfs is None:
+        log_pdfs = (_log_pdf_parts(x, mu, sigma)[0] for mu, sigma in zip(model._mu, model._sigma))
+    return np.stack([np.log(w) + lp for w, lp in zip(model.weights, log_pdfs)])
 
 
 def mixture_log_pdf(x, model):
@@ -224,7 +250,7 @@ def as_dataset(rows):
         data = data[:, None]
     if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
         raise ValueError("dataset must be a non-empty n x p matrix")
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise ValueError("dataset entries must be finite")
     return data
 
@@ -242,6 +268,11 @@ def load_dataset(path):
 
 def save_dataset(data, path, header=None):
     """Write a CSV dataset atomically; optional header goes in a '#' line."""
+    write_text_atomic(path, _dataset_text(data, header))
+
+
+def _dataset_text(data, header=None):
+    """The CSV text ``save_dataset`` writes."""
     data = as_dataset(data)
     lines = []
     if header:
@@ -250,4 +281,4 @@ def save_dataset(data, path, header=None):
     # repr of a Python float is the shortest text that reads back exactly.
     for row in data:
         lines.append(",".join(map(repr, row.tolist())))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"

@@ -67,9 +67,9 @@ class MldParams:
             )
         if mu.size < 1:
             raise ValueError("dimension must be at least 1")
-        if not np.all(np.isfinite(mu)):
+        if not np.isfinite(mu).all():
             raise ValueError("mu must be finite")
-        if not np.all(np.isfinite(sigma)) or np.any(sigma <= 0.0):
+        if not np.isfinite(sigma).all() or (sigma <= 0.0).any():
             raise ValueError("sigma must be finite and strictly positive")
         mu.setflags(write=False)
         sigma.setflags(write=False)
@@ -111,7 +111,7 @@ def _as_points(x, p):
             "point has %s coordinates, expected %d"
             % (x.shape[-1] if x.ndim else "scalar", p)
         )
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("point coordinates must be finite")
     return x
 

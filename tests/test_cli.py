@@ -130,6 +130,21 @@ def test_eval_plot_data_two_dimensional_model_exit_1(model2d_path, tmp_path, cap
     assert sorted(f.name for f in tmp_path.iterdir()) == ["d.csv", "model2d.json"]
 
 
+def test_eval_plot_data_missing_directory_writes_nothing(model_path, tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("0.5\n-2.0\n")
+    plot = tmp_path / "nodir" / "plot.csv"
+    code = run([
+        "eval", "--model", str(model_path), "--data", str(data),
+        "--out", str(tmp_path / "r.json"), "--emit-plot-data", str(plot),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "No such file or directory: %r" % str(plot) in err
+    assert ".tmp" not in err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["d.csv", "model.json"]
+
+
 def test_fit_roundtrip(model_path, tmp_path):
     data = tmp_path / "d.csv"
     run(["sample", "--model", str(model_path), "--n", "4000", "--seed", "42", "--out", str(data)])

@@ -5,7 +5,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 import logimix as lm
 from logimix import estimation
 from logimix._util import spawn_seeds
-from logimix.estimation import _ascend, _newton_direction, _weighted_obj_derivs
+from logimix.estimation import _ascend, _component_parts, _newton_direction, _weighted_obj_derivs
 
 from oracles import fd_log_pdf_gradients
 
@@ -205,7 +205,7 @@ class TestNewtonMStep:
         log_sigma = log_sigma + 1.5
         values = [_mean_log_pdf(data, resp, mu, log_sigma)]
         for iters in range(1, 8):
-            new_mu, new_ls = _ascend(data.T, resp, mu, log_sigma, iters)
+            new_mu, new_ls, _ = _ascend(data.T, resp, mu, log_sigma, iters)
             values.append(_mean_log_pdf(data, resp, new_mu, new_ls))
         assert np.all(np.diff(values) >= 0.0)
 
@@ -214,10 +214,20 @@ class TestNewtonMStep:
             lm.MixtureModel([1.0], (lm.MldParams([0.7, -1.0], [1.4, 0.6]),)), 500, seed=41
         )
         resp = np.ones(data.shape[0])
-        mu, log_sigma = _ascend(data.T, resp, np.zeros(2), np.log([140.0, 60.0]))
+        mu, log_sigma, _ = _ascend(data.T, resp, np.zeros(2), np.log([140.0, 60.0]))
         g_mu, g_ls = lm.component_log_pdf_grad(data, lm.MldParams(mu, np.exp(log_sigma)))
         g_mu, g_ls = g_mu.mean(axis=0), g_ls.mean(axis=0)
         assert np.sqrt(g_mu @ g_mu + g_ls @ g_ls) < 1e-6
+
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_ascent_returns_the_parts_of_its_point(self, p):
+        data, resp, mu, log_sigma = _newton_case(p, 60 + p)
+        for iters in (0, 1, 5):
+            new_mu, new_ls, parts = _ascend(data.T, resp, mu, log_sigma + 1.0, iters)
+            fresh = _component_parts(data.T, new_mu, np.exp(new_ls))
+            for name, got, want in zip(parts._fields, parts, fresh):
+                assert np.array_equal(got, want), name
 
 
 def _cho_levenberg_direction(grad, hess):
@@ -297,6 +307,17 @@ class TestEmFit:
         data, _ = lm.sample_mixture(model, 800, seed=33)
         res = lm.em_fit(data, lm.FitConfig(s=2, n_restarts=2, seed=1))
         assert np.all(np.diff(res.loglik_trace) >= -1e-9)
+
+    @pytest.mark.parametrize("p, s", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)])
+    def test_final_trace_entry_is_the_fresh_log_likelihood(self, p, s):
+        # The E-step reads log densities kept from the M-step; the last trace
+        # entry must still be exactly the log-likelihood evaluated afresh.
+        rng = np.random.default_rng(90 + 10 * p + s)
+        comps = tuple(lm.MldParams(rng.uniform(-3, 3, p), rng.uniform(0.5, 2.0, p)) for _ in range(s))
+        truth = lm.MixtureModel(rng.dirichlet(np.full(s, 4.0)), comps)
+        data, _ = lm.sample_mixture(truth, 500, seed=91)
+        fit = lm.em_fit(data, lm.FitConfig(s=s, n_restarts=2, max_iter=60, seed=p * 10 + s))
+        assert fit.loglik_trace[-1] == lm.log_likelihood(data, fit.model)
 
     def test_weights_on_simplex(self):
         data, _ = lm.sample_mixture(reference_model(), 1500, seed=34)

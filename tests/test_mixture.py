@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -55,6 +56,50 @@ class TestModelValidation:
         assert np.array_equal(rebuilt.weights, m.weights)
         shared = _model([0.5, 0.5], np.zeros((2, 3)), np.ones(3))
         assert np.array_equal(shared._sigma, np.ones((2, 3)))
+
+    @pytest.mark.parametrize("weights, mu, sigma", [
+        ([0.5, 0.5], [[0.0, 1.0], [np.nan, 0.0]], [[1.0, 1.0], [1.0, 1.0]]),
+        ([0.5, 0.5], [[0.0, 1.0], [-np.inf, 0.0]], [[1.0, 1.0], [1.0, 1.0]]),
+        ([0.5, 0.5], [[0.0, 1.0], [2.0, 0.0]], [[1.0, 0.0], [1.0, 1.0]]),
+        ([0.5, 0.5], [[0.0, 1.0], [2.0, 0.0]], [[1.0, 1.0], [-1.0, 1.0]]),
+        ([0.5, 0.5], [[0.0, 1.0], [2.0, 0.0]], [[1.0, np.inf], [1.0, 1.0]]),
+        ([0.5, 0.5], [[0.0, 1.0], [2.0, 0.0]], [[1.0, 1.0], [np.nan, 1.0]]),
+        ([1.0], [[0.0, 1.0], [2.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]]),
+        ([0.2, 0.3, 0.5], [[0.0, 1.0], [2.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]]),
+    ])
+    def test_array_constructor_raises_the_component_constructors_error(self, weights, mu, sigma):
+        with pytest.raises(ValueError) as from_components:
+            lm.MixtureModel(weights, tuple(map(lm.MldParams, mu, sigma)))
+        with pytest.raises(ValueError) as from_arrays:
+            _model(weights, np.array(mu), np.array(sigma))
+        assert str(from_arrays.value) == str(from_components.value)
+
+    def test_array_constructor_builds_read_only_components_on_first_read(self):
+        mu = np.array([[0.0, 1.0], [2.0, -1.0], [0.5, 0.5]])
+        sigma = np.array([[1.0, 0.5], [2.0, 1.5], [0.7, 0.9]])
+        m = _model([0.2, 0.3, 0.5], mu, sigma)
+        mu[0, 0] = sigma[0, 0] = 99.0  # the model holds copies
+        assert "components" not in vars(m)
+        comps = m.components
+        assert m.components is comps and len(comps) == 3
+        for c, row_mu, row_sigma in zip(comps, m._mu, m._sigma):
+            assert isinstance(c, lm.MldParams)
+            assert np.array_equal(c.mu, row_mu) and np.array_equal(c.sigma, row_sigma)
+            assert not c.mu.flags.writeable and not c.sigma.flags.writeable
+        assert m._mu[0, 0] == 0.0 and m._sigma[0, 0] == 1.0
+        with pytest.raises(AttributeError, match="no attribute 'missing'"):
+            m.missing
+
+    @pytest.mark.parametrize("read_components", [False, True])
+    def test_array_built_model_stays_frozen(self, read_components):
+        m = _model([0.5, 0.5], np.zeros((2, 2)), np.ones((2, 2)))
+        if read_components:
+            m.components
+        for name in ("weights", "components", "_mu", "_sigma"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(m, name, None)
+        for arr in (m.weights, m._mu, m._sigma):
+            assert not arr.flags.writeable
 
 
 class TestEvaluation:
