@@ -9,15 +9,15 @@ import numpy as np
 
 
 def _require_counts(**counts):
-    """Raise ValueError naming the first count that is not an integer >= 1."""
+    """Raise ValueError naming the first count that is not an integer >= 1; a bool is not one."""
     for name, value in counts.items():
-        if not (isinstance(value, numbers.Integral) and value >= 1):
+        if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1):
             raise ValueError("%s must be an integer >= 1, got %r" % (name, value))
 
 
 def _require_seed(seed):
-    """``seed`` as an int; ValueError unless it is an integer in [0, 2**64)."""
-    if not isinstance(seed, (int, np.integer)):
+    """``seed`` as an int; ValueError unless it is an integer in [0, 2**64), not a bool."""
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
         raise ValueError("seed must be an integer, got %r" % (seed,))
     if seed < 0 or seed >= 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")

@@ -32,7 +32,6 @@ from .mixture import (
     mixture_log_pdf,
     mixture_pdf,
     sample_mixture,
-    save_dataset,
     save_model,
 )
 
@@ -84,9 +83,12 @@ def _parse_int_pair(text, what):
 def _cmd_sample(args):
     model = load_model(args.model)
     data, labels = sample_mixture(model, args.n, args.seed)
-    save_dataset(data, args.out, header="drawn by 'logimix sample', seed=%d" % args.seed)
+    header = "drawn by 'logimix sample', seed=%d" % args.seed
+    outputs = [(args.out, _dataset_text(data, header=header))]
     if args.labels:
-        write_text_atomic(args.labels, "\n".join(str(int(v)) for v in labels) + "\n")
+        outputs.append((args.labels, "\n".join(str(int(v)) for v in labels) + "\n"))
+    # Both files or neither, as in eval.
+    write_texts_atomic(outputs)
     return 0
 
 

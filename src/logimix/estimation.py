@@ -100,15 +100,16 @@ def responsibilities(x, model):
 def component_log_pdf_grad(x, params):
     """Gradient of the component log density wrt (mu, log sigma).
 
-    With z_k = (x_k - mu_k)/sigma_k and w_k = exp(-z_k)/(1 + sum_j exp(-z_j)):
+    With z_k = (x_k - mu_k)/sigma_k and w_k = exp(-z_k)/(1 + sum_j exp(-z_j)),
+    read from ``_component_parts`` as in the M-step:
 
         d/d mu_k       = (1/sigma_k) * (1 - (p+1) w_k)
         d/d log sigma_k = z_k * (1 - (p+1) w_k) - 1
     """
     x = _as_points(x, params.p)
-    _, z, log_denom = _log_pdf_parts(_coordinate_major(x), params.mu, params.sigma)
-    base = np.moveaxis(1.0 - (params.p + 1) * np.exp(-z - log_denom), 0, -1)
-    return base / params.sigma, np.moveaxis(z, 0, -1) * base - 1.0
+    parts = _component_parts(_coordinate_major(x.reshape(-1, params.p)), params.mu, params.sigma)
+    base = 1.0 - (params.p + 1) * parts.w
+    return tuple(g.T.reshape(x.shape) for g in (base / parts.sigma[:, None], parts.z * base - 1.0))
 
 
 # The arrays of one component at one (mu, sigma) that do not depend on the

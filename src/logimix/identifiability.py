@@ -75,7 +75,6 @@ class GramReport:
     quadrature_spec: str
     nodes_per_axis: int
     quadrature_converged: bool
-    min_eigenvalue_refined: float
 
     def to_dict(self):
         return {
@@ -191,7 +190,6 @@ def gram_min_eigenvalue(components, nodes_per_axis=64):
         quadrature_spec="gauss-legendre on (0,1)^%d after per-coordinate logistic substitution" % p,
         nodes_per_axis=int(nodes_per_axis),
         quadrature_converged=bool(converged),
-        min_eigenvalue_refined=float(refined[0]),
     )
 
 
@@ -251,9 +249,11 @@ def vandermonde_check(mus, sigmas):
 
     Rows run j = 1..k.  Distinct nodes make the matrix an invertible scaled
     Vandermonde system; duplicated nodes produce a null vector, which is
-    returned.  Exponents beyond the float range are handled by positive
-    column scaling (rank and determinant sign are unaffected); a dynamic
-    range above 1e300 is flagged.
+    returned.  Entries beyond the float range, exp(j mu_i/sigma_i) with
+    |j mu_i/sigma_i| >= 700, are handled by positive column scaling (rank and
+    determinant sign are unaffected); a dynamic range above 1e300 is flagged.
+    An exponent j mu_i/sigma_i that is itself beyond the float range raises
+    ValueError.
     """
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
     sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
@@ -262,9 +262,14 @@ def vandermonde_check(mus, sigmas):
     if np.any(sigmas <= 0) or not np.all(np.isfinite(mus)) or not np.all(np.isfinite(sigmas)):
         raise ValueError("sigmas must be positive and all parameters finite")
     k = mus.size
-    r = mus / sigmas
-    log_entries = np.outer(np.arange(1, k + 1), r)
-    flagged = log_entries.max() - log_entries.min() > 300.0 * np.log(10.0)
+    with np.errstate(over="ignore"):
+        r = mus / sigmas
+        log_entries = np.outer(np.arange(1, k + 1), r)
+        flagged = log_entries.max() - log_entries.min() > 300.0 * np.log(10.0)
+    if not np.isfinite(log_entries).all():
+        raise ValueError(
+            "mus/sigmas: the exponents j * mu_i / sigma_i, j <= %d, overflow the float range" % k
+        )
     scaled = log_entries.max() >= 700.0 or log_entries.min() <= -700.0
     col_scale = np.where(r >= 0, k * r, r) if scaled else np.zeros(k)
     matrix = np.exp(log_entries - col_scale)
@@ -371,7 +376,11 @@ def collapse_pair(model, coord_pair, y_a, y_b):
     p = model.p
     a, b = _coordinate_pair(coord_pair, p, "need at least two coordinates to collapse")
     sigma = _require_shared_sigma(model._sigma, "dimension collapse")
-    merged = _merged_locations(model._mu, sigma, a, b, float(y_a), float(y_b))
+    y_a, y_b = float(y_a), float(y_b)
+    for name, y in (("y_a", y_a), ("y_b", y_b)):
+        if not np.isfinite(y):
+            raise ValueError("offset %s must be finite, got %r" % (name, y))
+    merged = _merged_locations(model._mu, sigma, a, b, y_a, y_b)
     keep = [k for k in range(p) if k not in (a, b)]
     return _model(
         model.weights,

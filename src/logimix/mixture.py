@@ -2,15 +2,17 @@
 
 A mixture is an (s,) weight vector on the simplex plus s components of common
 dimension p, stacked as (s, p) location and scale arrays whose row i is
-component i.  The package reads mixtures through these arrays and builds them
-through ``_model``; the kernels take one call per component, on its rows, as a
-broadcast over s would multiply every temporary by s.  Evaluation functions
-accept points shaped (..., p) like the single-component ones in :mod:`logimix.mld`.
+component i.  A ``MixtureModel`` stores these three arrays and nothing else;
+the package builds them through ``_model`` and reads mixtures through them.
+The kernels take one call per component, on its rows, as a broadcast over s
+would multiply every temporary by s.  Evaluation functions accept points
+shaped (..., p) like the single-component ones in :mod:`logimix.mld`.
 """
 
 import json
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,50 +30,27 @@ WEIGHT_SUM_TOL = 1e-9
 WEIGHT_FLOOR = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class MixtureModel:
-    """Mixing weights plus component parameters, all of one dimension p.
+    """Mixing weights plus s components of one dimension p, stored as arrays.
 
-    The weights become a read-only (s,) array that sums to 1; the components'
-    locations and scales are also kept as the read-only (s, p) ``_mu`` and ``_sigma``.
-    A model built by ``_model`` from those arrays makes its ``components`` on first read.
+    ``MixtureModel(weights, components)`` stacks the MldParams ``components``
+    into the read-only (s, p) ``_mu`` and ``_sigma``, row i being component i,
+    and checks the weights as ``_model`` does: they become a read-only (s,)
+    array that sums to 1.  ``components`` is rebuilt from the rows on first read.
     """
 
     weights: np.ndarray
-    components: tuple
+    _mu: np.ndarray
+    _sigma: np.ndarray
 
-    def __post_init__(self):
-        comps, mu, sigma = _stack_components(self.components)
-        object.__setattr__(self, "components", comps)
-        self._set_arrays(self.weights, mu, sigma)
+    def __init__(self, weights, components):
+        _, mu, sigma = _stack_components(components)
+        _fill(self, weights, mu, sigma)
 
-    def _set_arrays(self, weights, mu, sigma):
-        """Check the weights against the checked, read-only (s, p) ``mu`` and store all three."""
-        w = np.atleast_1d(np.asarray(weights, dtype=float))
-        if w.ndim != 1:
-            raise ValueError("weights must be a 1-D vector")
-        if mu.shape[0] != w.size:
-            raise ValueError(
-                "got %d weights for %d components" % (w.size, mu.shape[0])
-            )
-        if not np.isfinite(w).all() or (w < WEIGHT_FLOOR).any() or (w > 1.0).any():
-            raise ValueError("weights must lie in [%g, 1]" % WEIGHT_FLOOR)
-        total = w.sum()
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError("weights sum to %.17g, not 1" % total)
-        w = w / total
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "_mu", mu)
-        object.__setattr__(self, "_sigma", sigma)
-
-    def __getattr__(self, name):
-        # Reached only for an attribute not set yet: the components of a model from ``_model``.
-        if name != "components":
-            raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
-        comps = tuple(map(MldParams, self._mu, self._sigma))
-        object.__setattr__(self, "components", comps)
-        return comps
+    @cached_property
+    def components(self):
+        return tuple(map(MldParams, self._mu, self._sigma))
 
     @property
     def p(self):
@@ -82,12 +61,31 @@ class MixtureModel:
         return self._mu.shape[0]
 
 
+def _fill(model, weights, mu, sigma):
+    """Check the weights against the checked, read-only (s, p) ``mu`` and store all three in
+    ``model``, which is returned; both ways to build a MixtureModel end here."""
+    w = np.atleast_1d(np.asarray(weights, dtype=float))
+    if w.ndim != 1:
+        raise ValueError("weights must be a 1-D vector")
+    if mu.shape[0] != w.size:
+        raise ValueError("got %d weights for %d components" % (w.size, mu.shape[0]))
+    if not np.isfinite(w).all() or (w < WEIGHT_FLOOR).any() or (w > 1.0).any():
+        raise ValueError("weights must lie in [%g, 1]" % WEIGHT_FLOOR)
+    total = w.sum()
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        raise ValueError("weights sum to %.17g, not 1" % total)
+    w = w / total
+    w.setflags(write=False)
+    vars(model).update(weights=w, _mu=mu, _sigma=sigma)  # past the frozen __setattr__
+    return model
+
+
 def _model(weights, mu, sigma):
     """MixtureModel whose component i has row i of (s, p) ``mu`` and ``sigma``; a (p,)
     ``sigma`` is shared by every component.
 
     The arrays are copied and checked as ``MldParams`` checks each row, with its
-    messages, and the weights as ``MixtureModel`` checks them.
+    messages, and the weights by ``_fill``, as for ``MixtureModel(weights, components)``.
     """
     mu = np.array(mu, dtype=float)
     sigma = np.array(np.broadcast_to(sigma, mu.shape), dtype=float)
@@ -97,9 +95,7 @@ def _model(weights, mu, sigma):
         raise ValueError("sigma must be finite and strictly positive")
     mu.setflags(write=False)
     sigma.setflags(write=False)
-    model = object.__new__(MixtureModel)
-    model._set_arrays(weights, mu, sigma)
-    return model
+    return _fill(MixtureModel.__new__(MixtureModel), weights, mu, sigma)
 
 
 def mixture_cdf(x, model):

@@ -219,9 +219,10 @@ def conditional_quantile(u, s_accum, j):
     """
     u = np.asarray(u, dtype=float)
     s_accum = np.asarray(s_accum, dtype=float)
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
+    # Written so that NaN fails the checks.
+    if not np.all((u > 0.0) & (u < 1.0)):
         raise ValueError("u must lie strictly inside (0, 1)")
-    if np.any(s_accum < 1.0):
+    if not np.all(s_accum >= 1.0):
         raise ValueError("s_accum must be at least 1")
     j = int(j)
     if j < 0:

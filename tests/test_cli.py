@@ -70,6 +70,18 @@ def test_sample_writes_labels(model_path, tmp_path):
     assert set(vals) <= {0, 1}
 
 
+def test_sample_labels_missing_directory_writes_nothing(model_path, tmp_path, capsys):
+    labels = tmp_path / "nodir" / "l.csv"
+    code = run([
+        "sample", "--model", str(model_path), "--n", "20", "--seed", "3",
+        "--out", str(tmp_path / "d.csv"), "--labels", str(labels),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "No such file or directory: %r" % str(labels) in err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["model.json"]
+
+
 def test_eval_plot_data(model_path, tmp_path):
     data = tmp_path / "d.csv"
     run(["sample", "--model", str(model_path), "--n", "20", "--out", str(data)])

@@ -403,7 +403,15 @@ _ONE_COMPONENT = lm.MixtureModel([1.0], (lm.MldParams([0.0], [1.0]),))
     (lambda: lm.sample_mixture(_ONE_COMPONENT, 2.5, 0), "n"),
     (lambda: lm.sample(_ONE_COMPONENT.components[0], 0, 0), "n"),
     (lambda: lm.gram_min_eigenvalue(_ONE_COMPONENT.components, nodes_per_axis=0), "nodes_per_axis"),
+    (lambda: lm.FitConfig(s=True), "s"),
+    (lambda: lm.sample_mixture(_ONE_COMPONENT, True, 0), "n"),
+    (lambda: lm.sample(_ONE_COMPONENT.components[0], True, 0), "n"),
 ])
 def test_bad_count_raises_value_error_naming_it(call, name):
     with pytest.raises(ValueError, match="^%s must be an integer >= 1, got " % name):
         call()
+
+
+def test_bool_seed_raises_value_error():
+    with pytest.raises(ValueError, match="^seed must be an integer, got True$"):
+        lm.sample(_ONE_COMPONENT.components[0], 3, True)

@@ -226,6 +226,15 @@ class TestVandermonde:
         with pytest.raises(ValueError):
             lm.vandermonde_check([0.0], [0.0])
 
+    @pytest.mark.parametrize("mus, sigmas", [
+        ([1e308, 1.0], [1e-308, 1.0]), ([1e308, 1.0], [1.0, 1.0]),
+    ])
+    def test_rejects_exponents_beyond_the_float_range(self, mus, sigmas):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^mus/sigmas: "):
+                lm.vandermonde_check(mus, sigmas)
+
 
 class TestSeparatingOffsets:
     def test_single_coordinate_difference_needs_no_offset(self):
@@ -311,6 +320,16 @@ class TestCollapse:
         )
         with pytest.raises(ValueError):
             lm.collapse_pair(m, (0, 1), 0.0, 0.0)
+
+    @pytest.mark.parametrize("y_a, y_b, name", [
+        (np.nan, 0.0, "y_a"), (0.0, np.nan, "y_b"), (np.inf, 0.0, "y_a"), (0.0, -np.inf, "y_b"),
+    ])
+    def test_rejects_non_finite_offsets(self, y_a, y_b, name):
+        model = shared_sigma_model(np.random.default_rng(11), 2, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^offset %s must be finite, got " % name):
+                lm.collapse_pair(model, (0, 1), y_a, y_b)
 
     def test_rejects_bad_coordinate_pairs(self):
         with pytest.raises(ValueError, match="need at least two coordinates to collapse"):

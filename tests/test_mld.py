@@ -272,9 +272,14 @@ class TestConditionalQuantile:
         assert lm.conditional_quantile(1.0 - 1e-12, 1.0, 0) < 1e-11
 
     def test_rejects_bad_u(self):
-        for u in (0.0, 1.0, -0.2, 1.3):
+        for u in (0.0, 1.0, -0.2, 1.3, np.nan):
             with pytest.raises(ValueError):
                 lm.conditional_quantile(u, 1.0, 0)
+
+    def test_rejects_bad_s_accum(self):
+        for s_accum in (0.5, np.nan):
+            with pytest.raises(ValueError, match="s_accum must be at least 1"):
+                lm.conditional_quantile(0.5, s_accum, 0)
 
 
 class TestNormalization:
