@@ -94,7 +94,7 @@ def responsibilities(x, model):
             "all mixture components underflowed; returning uniform responsibilities",
             RuntimeWarning,
         )
-    return np.moveaxis(resp, 0, -1).reshape(x.shape[:-1] + (model.s,))
+    return resp.transpose(*range(1, resp.ndim), 0).reshape(x.shape[:-1] + (model.s,))
 
 
 def component_log_pdf_grad(x, params):

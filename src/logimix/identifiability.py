@@ -37,6 +37,7 @@ NEAR_GAP = 1e-10        # probe gap below which a separated pair is a counterexa
 MIN_PARAM_GAP = 0.1     # separation enforced when drawing "distinct" models
 GRID_POINTS = 41        # equality grid points per axis
 GRID_SPAN = 10.0        # equality grid half-width, in component scales
+GRAM_BLOCK_POINTS = 2**18  # Gram quadrature points per slab (a whole grid up to this size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,21 +145,31 @@ def _gram_matrix(mu, sigma, nodes):
 
     The substitution t = logistic_cdf(x) per coordinate absorbs the weight
     into the uniform measure on (0,1)^p, where tensor Gauss-Legendre applies.
-    Component i has row i of the (s, p) ``mu`` and ``sigma``.  Each component
-    cdf is evaluated on the open grid of the per-axis nodes, so its
-    exponentials are taken once per axis node and each of the nodes**p points
-    costs p - 1 additions and one reciprocal.
+    Component i has row i of the (s, p) ``mu`` and ``sigma``.  The grid is
+    taken in slabs: a block of first-axis nodes times the full open grid of
+    the other p - 1 axes, max(1, GRAM_BLOCK_POINTS // nodes**(p-1)) nodes to
+    a block.  On each slab every component cdf is evaluated on the open grid
+    of the per-axis nodes, so its exponentials are taken once per axis node
+    and each point costs p - 1 additions and one reciprocal; the slab's
+    weighted products are added into an s x s accumulator.  Memory is
+    O(s * max(GRAM_BLOCK_POINTS, nodes**(p-1))), not O(s * nodes**p).  A grid
+    of at most GRAM_BLOCK_POINTS points is a single slab, and its matrix is
+    bit-identical to a one-shot evaluation over the whole grid; more slabs
+    change only the order of the sums.
     """
     p = mu.shape[1]
     t, w = _unit_gl_nodes(nodes)
     x = np.clip(np.log(t) - np.log1p(-t), -40.0, 40.0)
-    grid = np.ix_(*([x] * p))
-    wts = w
-    for _ in range(p - 1):
-        wts = np.multiply.outer(wts, w)
-    wts = wts.ravel()
-    vals = np.stack([_cdf(grid, m, sg).ravel() for m, sg in zip(mu, sigma)])
-    gram = (vals * wts) @ vals.T
+    block = max(1, GRAM_BLOCK_POINTS // nodes ** (p - 1))
+    gram = np.zeros((len(mu), len(mu)))
+    for lo in range(0, nodes, block):
+        grid = np.ix_(x[lo:lo + block], *([x] * (p - 1)))
+        wts = w[lo:lo + block]
+        for _ in range(p - 1):
+            wts = np.multiply.outer(wts, w)
+        wts = wts.ravel()
+        vals = np.stack([_cdf(grid, m, sg).ravel() for m, sg in zip(mu, sigma)])
+        gram += (vals * wts) @ vals.T
     return 0.5 * (gram + gram.T)
 
 
@@ -169,7 +180,12 @@ def gram_min_eigenvalue(components, nodes_per_axis=64):
     is strictly positive, so the Gram matrix is singular exactly when the
     cdfs are linearly dependent.  Quadrature convergence is verified by
     doubling nodes; a >10% relative shift of the smallest eigenvalue (beyond
-    the rank tolerance) marks the report as not converged.
+    the rank tolerance) marks the report as not converged.  Both quadratures
+    run in slabs (see ``_gram_matrix``), so memory grows with
+    s * max(GRAM_BLOCK_POINTS, nodes_per_axis**(p-1)), not s * nodes_per_axis**p:
+    about 20 MiB traced for s = 3 at p = 3, at 64 or at 128 nodes.  Every grid of at most
+    GRAM_BLOCK_POINTS points, the default 64-node grid at p = 3 among them, is
+    one slab and is evaluated exactly as in one pass.
     """
     _require_counts(nodes_per_axis=nodes_per_axis)
     _, mu, sigma = _stack_components(components)
@@ -277,7 +293,8 @@ def vandermonde_check(mus, sigmas):
     min_sv, max_sv = svals[-1], svals[0]
     null_vector = None
     if min_sv < 1e-12 * max_sv:
-        null = vt[-1] * np.exp(-col_scale)
+        # Scaled up to a positive constant so that no factor overflows.
+        null = vt[-1] * np.exp(col_scale.min() - col_scale)
         norm = np.linalg.norm(null)
         null_vector = null / norm if norm > 0 else vt[-1]
     pred = 1
@@ -380,7 +397,13 @@ def collapse_pair(model, coord_pair, y_a, y_b):
     for name, y in (("y_a", y_a), ("y_b", y_b)):
         if not np.isfinite(y):
             raise ValueError("offset %s must be finite, got %r" % (name, y))
-    merged = _merged_locations(model._mu, sigma, a, b, y_a, y_b)
+    with np.errstate(over="ignore"):
+        merged = _merged_locations(model._mu, sigma, a, b, y_a, y_b)
+    if not np.isfinite(merged).all():
+        raise ValueError(
+            "offsets y_a=%r, y_b=%r overflow the merged locations of coordinates %d and %d"
+            % (y_a, y_b, a, b)
+        )
     keep = [k for k in range(p) if k not in (a, b)]
     return _model(
         model.weights,

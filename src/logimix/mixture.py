@@ -101,7 +101,7 @@ def _model(weights, mu, sigma):
 def mixture_cdf(x, model):
     """Weighted sum of component cdfs, clipped to [0, 1]."""
     x = _as_points(x, model.p)
-    return _scalar_or_array(_mixture_cdf(np.moveaxis(x, -1, 0), model))
+    return _scalar_or_array(_mixture_cdf(x.transpose(-1, *range(x.ndim - 1)), model))
 
 
 def _mixture_cdf(coords, model):

@@ -123,7 +123,7 @@ def _scalar_or_array(values):
 
 def _coordinate_major(x):
     """Validated (..., p) points as a C-contiguous (p, ...) array."""
-    return np.ascontiguousarray(np.moveaxis(x, -1, 0))
+    return np.ascontiguousarray(x.transpose(-1, *range(x.ndim - 1)))
 
 
 def _log_pdf_parts(x, mu, sigma):
@@ -177,7 +177,7 @@ def standard_pdf(x):
 def mld_cdf(x, params):
     """Location-scale MLD cdf: the standard cdf of (x - mu) / sigma."""
     x = _as_points(x, params.p)
-    return _scalar_or_array(_cdf(np.moveaxis(x, -1, 0), params.mu, params.sigma))
+    return _scalar_or_array(_cdf(x.transpose(-1, *range(x.ndim - 1)), params.mu, params.sigma))
 
 
 def mld_log_pdf(x, params):

@@ -373,6 +373,24 @@ def test_collapse_command(model2d_path, tmp_path):
     assert collapsed.components[0].sigma[0] == 1.0
 
 
+def test_collapse_overflowing_offset_exit_1(tmp_path, capsys):
+    sigma = [0.5, 0.5]
+    model = lm.MixtureModel(
+        [0.5, 0.5], (lm.MldParams([0.0, 1.0], sigma), lm.MldParams([1.0, 0.0], sigma))
+    )
+    lm.save_model(model, tmp_path / "model.json")
+    out = tmp_path / "collapsed.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run([
+            "collapse", "--model", str(tmp_path / "model.json"), "--coords", "0,1",
+            "--offsets", "1e308,0", "--out", str(out),
+        ])
+    assert code == 1
+    assert "error: offsets y_a=1e+308, y_b=0.0 overflow " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_probe_open_command(tmp_path):
     out = tmp_path / "probe.json"
     code = run([

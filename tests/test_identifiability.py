@@ -1,3 +1,5 @@
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,8 +7,10 @@ import pytest
 from scipy.special import expit, roots_legendre
 
 import logimix as lm
+from logimix import identifiability
 from logimix.identifiability import _param_distance_matrix
 from logimix.mixture import model_from_dict
+from logimix.mld import _cdf, _stack_components
 
 
 def mld1(mu, sigma):
@@ -20,6 +24,21 @@ def random_components(rng, p, s):
 def dense_grid(axes):
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.column_stack([a.ravel() for a in mesh])
+
+
+def one_shot_gram(mu, sigma, nodes):
+    """The Gram quadrature of ``identifiability._gram_matrix`` over the whole grid in one pass."""
+    t, w = roots_legendre(nodes)
+    t, w = 0.5 * (t + 1.0), 0.5 * w
+    x = np.clip(np.log(t) - np.log1p(-t), -40.0, 40.0)
+    grid = np.ix_(*([x] * mu.shape[1]))
+    wts = w
+    for _ in range(mu.shape[1] - 1):
+        wts = np.multiply.outer(wts, w)
+    wts = wts.ravel()
+    vals = np.stack([_cdf(grid, m, sg).ravel() for m, sg in zip(mu, sigma)])
+    gram = (vals * wts) @ vals.T
+    return 0.5 * (gram + gram.T)
 
 
 def shared_sigma_model(rng, p, s):
@@ -91,6 +110,45 @@ class TestGram:
         vals = np.stack([lm.mld_cdf(x, c) for c in comps])
         gram = (vals * wts) @ vals.T
         np.testing.assert_allclose(rep.gram, 0.5 * (gram + gram.T), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("nodes", [64, 128])
+    def test_memory_is_bounded_by_the_slabs(self, nodes):
+        # A single pass over each grid would trace 112 MiB at 64 nodes and 896 MiB at 128.
+        comps = random_components(np.random.default_rng(30), 3, 3)
+        tracemalloc.start()
+        try:
+            rep = lm.gram_min_eigenvalue(comps, nodes_per_axis=nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.numerical_rank == 3
+        assert peak <= 32 * 2**20
+
+    @pytest.mark.parametrize("nodes", [16, 64])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_single_slab_is_bit_identical_to_one_pass(self, p, nodes):
+        _, mu, sigma = _stack_components(random_components(np.random.default_rng(40 + p), p, 3))
+        gram = identifiability._gram_matrix(mu, sigma, nodes)
+        assert gram.tobytes() == one_shot_gram(mu, sigma, nodes).tobytes()
+
+    def test_split_grid_matches_one_pass(self, monkeypatch):
+        # The 128-node grid at p = 3 is 8 slabs; the 64-node report uses it as its refinement.
+        comps = random_components(np.random.default_rng(43), 3, 3)
+        _, mu, sigma = _stack_components(comps)
+        gram = identifiability._gram_matrix(mu, sigma, 128)
+        reference = one_shot_gram(mu, sigma, 128)
+        np.testing.assert_array_less(np.abs(gram - reference), 1e-13 * np.abs(reference))
+        rep = lm.gram_min_eigenvalue(comps)
+        monkeypatch.setattr(identifiability, "_gram_matrix", one_shot_gram)
+        assert rep.to_dict() == lm.gram_min_eigenvalue(comps).to_dict()
+
+    @pytest.mark.parametrize("p, block_points", [(1, 5), (2, 50), (3, 40), (3, 700)])
+    def test_uneven_slabs_match_one_pass(self, monkeypatch, p, block_points):
+        # Blocks of 5, 3, 1 and 2 of the 16 first-axis nodes; the first two leave a short last slab.
+        _, mu, sigma = _stack_components(random_components(np.random.default_rng(50 + p), p, 3))
+        monkeypatch.setattr(identifiability, "GRAM_BLOCK_POINTS", block_points)
+        gram = identifiability._gram_matrix(mu, sigma, 16)
+        np.testing.assert_allclose(gram, one_shot_gram(mu, sigma, 16), rtol=1e-13, atol=0.0)
 
     def test_rejects_high_dimension(self):
         comp = lm.MldParams(np.zeros(4), np.ones(4))
@@ -226,6 +284,17 @@ class TestVandermonde:
         with pytest.raises(ValueError):
             lm.vandermonde_check([0.0], [0.0])
 
+    def test_scaled_duplicated_nodes_give_finite_null_vector(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = lm.vandermonde_check([-800.0, -800.0], [1.0, 1.0])
+        assert rep.column_scaled
+        v = rep.null_vector
+        assert np.all(np.isfinite(v))
+        assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
+        assert np.abs(v) == pytest.approx([1.0 / np.sqrt(2.0)] * 2, rel=1e-10)
+        assert v[0] == -v[1]
+
     @pytest.mark.parametrize("mus, sigmas", [
         ([1e308, 1.0], [1e-308, 1.0]), ([1e308, 1.0], [1.0, 1.0]),
     ])
@@ -329,6 +398,15 @@ class TestCollapse:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^offset %s must be finite, got " % name):
+                lm.collapse_pair(model, (0, 1), y_a, y_b)
+
+    @pytest.mark.parametrize("y_a, y_b", [(1e308, 0.0), (0.0, 1e308), (-1e308, -1e308)])
+    def test_rejects_offsets_that_overflow_the_merged_location(self, y_a, y_b):
+        comps = (lm.MldParams([0.0, 1.0], [0.5, 0.5]), lm.MldParams([1.0, 0.0], [0.5, 0.5]))
+        model = lm.MixtureModel([0.5, 0.5], comps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape("offsets y_a=%r, y_b=%r overflow " % (y_a, y_b))):
                 lm.collapse_pair(model, (0, 1), y_a, y_b)
 
     def test_rejects_bad_coordinate_pairs(self):

@@ -5,8 +5,10 @@ density, identify) for one seed through ``logimix.cli.run``, on inputs the
 workloads draw themselves, then the "extra" commands: CLI paths no workload
 takes (``sample --labels``, ``eval --emit-plot-data`` on a p = 1 model,
 ``check-id --mode equality`` of a model against itself and against a
-component-permuted copy, and ``collapse`` of a shared-scale p = 2 model), on
-models drawn here from the seed.  It prints one line per output file:
+component-permuted copy, ``collapse`` of a shared-scale p = 2 model,
+``check-id --mode gram`` of the p = 1 and p = 2 models, and
+``check-id --mode vandermonde`` of four distinct nodes), on models and nodes
+drawn here from the seed.  It prints one line per output file:
 workload (or "extra"), command index and kind, exit code, file name and
 SHA-1.  Two checkouts print the same lines exactly when every command exits
 the same way and writes the same bytes, so a change that must keep every
@@ -61,6 +63,7 @@ def extra_commands(seed, size, directory):
     write_model(path("p2.json"), weights, mu, sigma)
     perm = np.roll(np.arange(3), 1)
     write_model(path("p2-permuted.json"), weights[perm], mu[perm], sigma[perm])
+    node_mus, node_sigmas = rng.uniform([[-2.0], [0.5]], [[2.0], [2.0]], (2, 4))
     return [
         (["sample", "--model", path("p1.json"), "--n", str(EXTRA_ROWS[size]), "--seed", str(seed),
           "--out", path("rows.csv"), "--labels", path("labels.csv")],
@@ -77,6 +80,14 @@ def extra_commands(seed, size, directory):
         (["collapse", "--model", path("p2.json"), "--coords", "0,1", "--offsets", "0.25,-0.5",
           "--out", path("collapsed.json")],
          (path("collapsed.json"),)),
+        (["check-id", "--mode", "gram", "--model", path("p1.json"), "--out", path("gram-p1.json")],
+         (path("gram-p1.json"),)),
+        (["check-id", "--mode", "gram", "--model", path("p2.json"), "--out", path("gram-p2.json")],
+         (path("gram-p2.json"),)),
+        # "--mus=..." because a list that starts with a minus sign would read as an option.
+        (["check-id", "--mode", "vandermonde", "--mus=" + ",".join(map(repr, node_mus.tolist())),
+          "--sigmas=" + ",".join(map(repr, node_sigmas.tolist())), "--out", path("vandermonde.json")],
+         (path("vandermonde.json"),)),
     ]
 
 
