@@ -71,24 +71,27 @@ def log1p_sum_exp_neg(z):
 
 def write_text_atomic(path, text):
     """Write ``text`` to ``path`` via a temp file + rename in the same directory."""
-    write_texts_atomic([(path, text)])
+    write_texts_atomic([(path, [text])])
 
 
 def write_texts_atomic(outputs):
-    """Write each ``(path, text)`` of ``outputs`` via a temp file + rename in its directory.
+    """Write each ``(path, chunks)`` of ``outputs`` via a temp file + rename in its directory.
 
-    Every temp file is written before the first rename, so if any destination
-    cannot be created or written, none is touched.  An OSError names the
-    destination it concerns, not the temp file.
+    ``chunks`` is an iterable of strings, written one after another with
+    ``writelines``; a generator that yields a block of rows at a time keeps the
+    text in memory to one block.  Every temp file is written before the first
+    rename, so if any destination cannot be created or written, or a chunk
+    iterable raises, none is touched and no temp file is left.  An OSError
+    names the destination it concerns, not the temp file.
     """
     staged = []
     path = None
     try:
-        for path, text in outputs:
+        for path, chunks in outputs:
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
             staged.append((tmp, path))
             with os.fdopen(fd, "w") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         for tmp, path in staged:
             os.replace(tmp, path)
     except OSError as exc:

@@ -9,6 +9,7 @@ can be inspected.
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -25,7 +26,9 @@ from .identifiability import (
     vandermonde_check,
 )
 from .mixture import (
-    _dataset_text,
+    _dataset_chunks,
+    _row_blocks,
+    _row_chunks,
     load_dataset,
     load_model,
     mixture_cdf,
@@ -41,6 +44,13 @@ class _CliError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Read an argument that starts with a minus sign and a digit, such as the
+        # comma list "-1,2", as a value: argparse before Python 3.13 reads only a
+        # plain negative number so, and no option of this parser looks like one.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         raise _CliError(message)
 
@@ -84,12 +94,23 @@ def _cmd_sample(args):
     model = load_model(args.model)
     data, labels = sample_mixture(model, args.n, args.seed)
     header = "drawn by 'logimix sample', seed=%d" % args.seed
-    outputs = [(args.out, _dataset_text(data, header=header))]
+    outputs = [(args.out, _dataset_chunks(data, header=header))]
     if args.labels:
-        outputs.append((args.labels, "\n".join(str(int(v)) for v in labels) + "\n"))
+        outputs.append((args.labels, _row_chunks(labels, "%d\n")))
     # Both files or neither, as in eval.
     write_texts_atomic(outputs)
     return 0
+
+
+def _eval_report_chunks(head, rows):
+    """``_json_text`` of ``head`` with ``rows`` as its last entry, "per_row_log_pdf", in
+    ROW_BLOCK blocks; non-finite values become null, as ``_sanitize`` writes them."""
+    text = _json_text({**head, "per_row_log_pdf": []})
+    yield text[:-len("]\n}\n")]
+    for i, block in enumerate(_row_blocks(rows.size)):
+        vals = json.dumps(_sanitize(rows[block].tolist()), separators=(",\n    ", ": "))
+        yield ("," if i else "") + "\n    " + vals[1:-1]
+    yield "\n  ]\n}\n"
 
 
 def _cmd_eval(args):
@@ -99,19 +120,16 @@ def _cmd_eval(args):
         if model.p != 1:
             raise _CliError("--emit-plot-data requires a one-dimensional model")
         xs = _evaluation_grid((model,), points_per_axis=401)[0]
-    rows = np.atleast_1d(mixture_log_pdf(data, model))
-    report = {
-        "seed": args.seed,
-        "n": int(rows.size),
-        "total_log_likelihood": float(rows.sum()),
-        "per_row_log_pdf": [float(v) for v in rows],
-    }
-    outputs = [(args.out, _json_text(report))]
+    rows = np.empty(data.shape[0])
+    for block in _row_blocks(rows.size):
+        rows[block] = mixture_log_pdf(data[block], model)
+    head = {"seed": args.seed, "n": int(rows.size), "total_log_likelihood": float(rows.sum())}
+    outputs = [(args.out, _eval_report_chunks(head, rows))]
     if args.emit_plot_data:
         pts = xs[:, None]
         pdf = np.atleast_1d(mixture_pdf(pts, model))
         cdf = np.atleast_1d(mixture_cdf(pts, model))
-        plot = _dataset_text(np.column_stack([xs, pdf, cdf]), header="x,pdf,cdf")
+        plot = _dataset_chunks(np.column_stack([xs, pdf, cdf]), header="x,pdf,cdf")
         outputs.append((args.emit_plot_data, plot))
     # Both files or neither: a plot path that cannot be written leaves no report behind.
     write_texts_atomic(outputs)

@@ -16,7 +16,10 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import _require_counts, open_uniform, rng_from_seed, spawn_seeds, write_text_atomic
+from ._util import (
+    _require_counts, open_uniform, rng_from_seed, spawn_seeds, write_text_atomic,
+    write_texts_atomic,
+)
 from .mld import (
     MldParams, _as_points, _cdf, _coordinate_major, _log_pdf_parts, _scalar_or_array,
     _stack_components, sample,
@@ -28,6 +31,8 @@ MODEL_FORMAT = "logimix-model-v1"
 # anything further off is rejected as a genuinely bad model.
 WEIGHT_SUM_TOL = 1e-9
 WEIGHT_FLOOR = 1e-12
+
+ROW_BLOCK = 2**14  # rows per block of per-row output text (and of eval's log densities)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -263,18 +268,33 @@ def load_dataset(path):
 
 
 def save_dataset(data, path, header=None):
-    """Write a CSV dataset atomically; optional header goes in a '#' line."""
-    write_text_atomic(path, _dataset_text(data, header))
+    """Write a CSV dataset atomically; optional header goes in a '#' line.
+
+    The text is built and written ROW_BLOCK rows at a time, so it holds
+    O(ROW_BLOCK) memory beside ``data``, whatever the number of rows.
+    """
+    write_texts_atomic([(path, _dataset_chunks(data, header))])
 
 
-def _dataset_text(data, header=None):
-    """The CSV text ``save_dataset`` writes."""
+def _dataset_chunks(data, header=None):
+    """The CSV text ``save_dataset`` writes: the '#' header line, then one string per
+    ROW_BLOCK rows, so only one block's text is in memory at a time.
+
+    repr of a Python float is the shortest text that reads back exactly.
+    """
     data = as_dataset(data)
-    lines = []
     if header:
-        lines.append("# " + header)
-    # Converting one row at a time keeps the Python floats' memory small;
-    # repr of a Python float is the shortest text that reads back exactly.
-    for row in data:
-        lines.append(",".join(map(repr, row.tolist())))
-    return "\n".join(lines) + "\n"
+        yield "# " + header + "\n"
+    yield from _row_chunks(data, ",".join(["%r"] * data.shape[1]) + "\n")
+
+
+def _row_blocks(n):
+    """Slices that cut n rows into blocks of ROW_BLOCK, the last one possibly shorter."""
+    return [slice(lo, lo + ROW_BLOCK) for lo in range(0, n, ROW_BLOCK)]
+
+
+def _row_chunks(rows, row_format):
+    """``row_format % row`` for every row of ``rows``, joined into one string per ROW_BLOCK rows."""
+    for block in _row_blocks(len(rows)):
+        part = rows[block]
+        yield row_format * len(part) % tuple(part.ravel().tolist())

@@ -1,11 +1,18 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import logimix as lm
+from logimix import cli, mixture
 from logimix.cli import run
+from logimix.identifiability import _evaluation_grid
+
+# Row counts around the block size that the tests below patch ROW_BLOCK down to.
+B = 4
+BLOCK_ROWS = [1, B - 1, B, B + 1, 2 * B + 3]
 
 
 @pytest.fixture
@@ -55,6 +62,76 @@ def test_sample_then_eval_reproducible(model_path, tmp_path):
     assert np.isfinite(doc["total_log_likelihood"])
     assert len(doc["per_row_log_pdf"]) == 200
     assert doc["seed"] == 0
+
+
+def one_pass_csv(data, header):
+    """The dataset text as one string, one row at a time: the reference for the blocked writer."""
+    lines = ["# " + header] + [",".join(map(repr, row)) for row in np.asarray(data).tolist()]
+    return "\n".join(lines) + "\n"
+
+
+def one_pass_report(report):
+    return json.dumps(cli._sanitize(report), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("n", BLOCK_ROWS)
+def test_blocked_sample_and_eval_match_one_pass(monkeypatch, model_path, tmp_path, n):
+    monkeypatch.setattr(mixture, "ROW_BLOCK", B)
+    data, labels, report, plot = (tmp_path / f for f in ("d.csv", "l.csv", "r.json", "plot.csv"))
+    assert run([
+        "sample", "--model", str(model_path), "--n", str(n), "--seed", "4",
+        "--out", str(data), "--labels", str(labels),
+    ]) == 0
+    assert run([
+        "eval", "--model", str(model_path), "--data", str(data), "--seed", "6",
+        "--out", str(report), "--emit-plot-data", str(plot),
+    ]) == 0
+    model = lm.load_model(model_path)
+    rows, drawn = lm.sample_mixture(model, n, 4)
+    assert data.read_text() == one_pass_csv(rows, "drawn by 'logimix sample', seed=4")
+    assert labels.read_text() == "\n".join(str(int(v)) for v in drawn) + "\n"
+    log_pdf = np.atleast_1d(lm.mixture_log_pdf(rows, model))
+    assert report.read_text() == one_pass_report({
+        "seed": 6,
+        "n": n,
+        "total_log_likelihood": float(log_pdf.sum()),
+        "per_row_log_pdf": [float(v) for v in log_pdf],
+    })
+    # 401 plot rows: 100 full blocks and a last one of 1 row.
+    xs = _evaluation_grid((model,), points_per_axis=401)[0]
+    curves = np.column_stack([xs, lm.mixture_pdf(xs, model), lm.mixture_cdf(xs, model)])
+    assert plot.read_text() == one_pass_csv(curves, "x,pdf,cdf")
+
+
+@pytest.mark.parametrize("n", BLOCK_ROWS)
+def test_blocked_report_writes_non_finite_rows_as_null(monkeypatch, n):
+    monkeypatch.setattr(mixture, "ROW_BLOCK", B)
+    rows = np.linspace(-3.0, 1.0, n)
+    rows[::3] = [np.nan, np.inf, -np.inf, np.nan][:len(rows[::3])]
+    head = {"seed": 1, "n": n, "total_log_likelihood": float(rows.sum())}
+    text = "".join(cli._eval_report_chunks(head, rows))
+    assert text == one_pass_report({**head, "per_row_log_pdf": rows.tolist()})
+    assert json.loads(text)["per_row_log_pdf"][0] is None
+
+
+def test_sample_then_eval_memory_is_bounded_by_the_blocks(tmp_path):
+    # Whole-file texts traced 24.9 MiB here; the blocks trace 8.6 MiB, mostly the
+    # sampled rows and labels and the loaded dataset.
+    rng = np.random.default_rng(60)
+    comps = tuple(lm.MldParams(rng.normal(size=3), rng.uniform(0.5, 2.0, 3)) for _ in range(3))
+    lm.save_model(lm.MixtureModel([0.2, 0.3, 0.5], comps), tmp_path / "m.json")
+    data = str(tmp_path / "d.csv")
+    tracemalloc.start()
+    try:
+        assert run(["sample", "--model", str(tmp_path / "m.json"), "--n", "100000",
+                    "--seed", "5", "--out", data]) == 0
+        assert run(["eval", "--model", str(tmp_path / "m.json"), "--data", data,
+                    "--out", str(tmp_path / "r.json")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(json.loads((tmp_path / "r.json").read_text())["per_row_log_pdf"]) == 100000
+    assert peak <= 12 * 2**20
 
 
 def test_sample_writes_labels(model_path, tmp_path):
@@ -219,6 +296,17 @@ def test_check_id_vandermonde(tmp_path):
     assert doc["determinant_sign_ok"] is True
 
 
+@pytest.mark.parametrize("mus", ["-1,2", "-.5,2"])
+def test_check_id_vandermonde_negative_first_node(tmp_path, mus):
+    # A list that starts with a minus sign is the value of --mus, as in the "=" form.
+    plain, joined = tmp_path / "plain.json", tmp_path / "joined.json"
+    assert run(["check-id", "--mode", "vandermonde", "--mus", mus, "--sigmas", "1,1",
+                "--out", str(plain)]) == 0
+    assert run(["check-id", "--mode", "vandermonde", "--mus=" + mus, "--sigmas=1,1",
+                "--out", str(joined)]) == 0
+    assert plain.read_bytes() == joined.read_bytes()
+
+
 def test_check_id_trial(tmp_path):
     out = tmp_path / "trial.json"
     code = run([
@@ -371,6 +459,14 @@ def test_collapse_command(model2d_path, tmp_path):
     collapsed = lm.load_model(out)
     assert collapsed.p == 1
     assert collapsed.components[0].sigma[0] == 1.0
+
+
+def test_collapse_negative_first_offset(model2d_path, tmp_path):
+    plain, joined = tmp_path / "plain.json", tmp_path / "joined.json"
+    for argv in (["--offsets", "-0.5,0.25", "--out", str(plain)],
+                 ["--offsets=-0.5,0.25", "--out", str(joined)]):
+        assert run(["collapse", "--model", str(model2d_path), "--coords", "0,1", *argv]) == 0
+    assert plain.read_bytes() == joined.read_bytes()
 
 
 def test_collapse_overflowing_offset_exit_1(tmp_path, capsys):

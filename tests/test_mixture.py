@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import logimix as lm
+from logimix import mixture
+from logimix._util import write_texts_atomic
 from logimix.mixture import _model
 
 from oracles import quad_normalization_1d, quad_normalization_2d
@@ -345,6 +347,19 @@ class TestDatasetIo:
         loaded = lm.load_dataset(path)
         assert np.array_equal(loaded, data)
 
+    @pytest.mark.parametrize("header", [None, "three columns"])
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 11])
+    def test_blocks_match_one_pass(self, monkeypatch, tmp_path, n, header):
+        # Blocks of 4 rows: n is 1, one short of a block, one block, one over, 2 blocks + 3.
+        monkeypatch.setattr(mixture, "ROW_BLOCK", 4)
+        data = np.random.default_rng(n).normal(size=(n, 3)) * 10.0 ** np.arange(-5, 10, 5)
+        path = tmp_path / "data.csv"
+        lm.save_dataset(data, path, header=header)
+        lines = [",".join(map(repr, row)) for row in data.tolist()]
+        if header is not None:
+            lines.insert(0, "# " + header)
+        assert path.read_text() == "\n".join(lines) + "\n"
+
     def test_comment_lines_skipped(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("# header\n1.0,2.0\n# middle comment\n3.0,4.0\n")
@@ -361,3 +376,35 @@ class TestDatasetIo:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             lm.as_dataset(np.array([[np.nan, 1.0]]))
+
+
+class TestAtomicWrites:
+    def test_raising_chunks_leave_nothing(self, tmp_path):
+        def chunks():
+            yield "1.0\n"
+            raise ValueError("bad row")
+
+        (tmp_path / "a.txt").write_text("old\n")
+        with pytest.raises(ValueError, match="bad row"):
+            write_texts_atomic([(tmp_path / "a.txt", ["new\n"]), (tmp_path / "b.txt", chunks())])
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["a.txt"]
+        assert (tmp_path / "a.txt").read_text() == "old\n"
+
+    def test_invalid_dataset_leaves_nothing(self, tmp_path):
+        with pytest.raises(ValueError, match="finite"):
+            lm.save_dataset([[1.0], [np.nan]], tmp_path / "data.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_error_on_second_output_names_it(self, tmp_path):
+        (tmp_path / "a.txt").write_text("old\n")
+        second = tmp_path / "nodir" / "b.txt"
+        with pytest.raises(OSError) as info:
+            write_texts_atomic([(tmp_path / "a.txt", ["new\n"]), (second, ["b\n"])])
+        assert info.value.filename == str(second)
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["a.txt"]
+        assert (tmp_path / "a.txt").read_text() == "old\n"
+
+    def test_chunks_are_written_in_order(self, tmp_path):
+        write_texts_atomic([(tmp_path / "a.txt", map(str, range(5))), (tmp_path / "b.txt", [])])
+        assert (tmp_path / "a.txt").read_text() == "01234"
+        assert (tmp_path / "b.txt").read_text() == ""

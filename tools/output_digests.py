@@ -84,9 +84,9 @@ def extra_commands(seed, size, directory):
          (path("gram-p1.json"),)),
         (["check-id", "--mode", "gram", "--model", path("p2.json"), "--out", path("gram-p2.json")],
          (path("gram-p2.json"),)),
-        # "--mus=..." because a list that starts with a minus sign would read as an option.
-        (["check-id", "--mode", "vandermonde", "--mus=" + ",".join(map(repr, node_mus.tolist())),
-          "--sigmas=" + ",".join(map(repr, node_sigmas.tolist())), "--out", path("vandermonde.json")],
+        # The lists may start with a minus sign, which the plain "--mus -1.5,..." form must accept.
+        (["check-id", "--mode", "vandermonde", "--mus", ",".join(map(repr, node_mus.tolist())),
+          "--sigmas", ",".join(map(repr, node_sigmas.tolist())), "--out", path("vandermonde.json")],
          (path("vandermonde.json"),)),
     ]
 
