@@ -3,6 +3,9 @@
 Evaluation and exact sampling of the location-scale multivariate logistic
 distribution, finite mixtures of such components, maximum-likelihood fitting
 by generalized EM, and a numerical harness for mixture identifiability.
+
+scipy is imported inside the functions that call it, so that ``import logimix``
+and the ``sample`` and ``eval`` commands do not pay about 0.4 s and 45 MB for it.
 """
 
 from .estimation import (

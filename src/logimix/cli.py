@@ -104,11 +104,14 @@ def _cmd_sample(args):
 
 def _eval_report_chunks(head, rows):
     """``_json_text`` of ``head`` with ``rows`` as its last entry, "per_row_log_pdf", in
-    ROW_BLOCK blocks; non-finite values become null, as ``_sanitize`` writes them."""
+    ROW_BLOCK blocks; non-finite values become null, as ``_sanitize`` writes them.
+    Only a block that holds one goes through ``_sanitize``."""
     text = _json_text({**head, "per_row_log_pdf": []})
     yield text[:-len("]\n}\n")]
     for i, block in enumerate(_row_blocks(rows.size)):
-        vals = json.dumps(_sanitize(rows[block].tolist()), separators=(",\n    ", ": "))
+        part = rows[block]
+        vals = part.tolist() if np.isfinite(part).all() else _sanitize(part.tolist())
+        vals = json.dumps(vals, separators=(",\n    ", ": "))
         yield ("," if i else "") + "\n    " + vals[1:-1]
     yield "\n  ]\n}\n"
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from ._util import _require_counts, rng_from_seed, spawn_seeds
 from .mixture import MixtureModel, WEIGHT_FLOOR, _model, _weighted_log_pdfs, as_dataset
@@ -200,6 +199,8 @@ def _newton_direction(grad, hess):
     non-finite Hessian counts as zero, so the shift alone sets a scaled
     gradient step; if no finite shift works the direction is zero.
     """
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
     neg_h = -hess if np.isfinite(hess).all() else np.zeros_like(hess)
     eye = _identity(grad.size)
     lam = 0.0

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, minimize
-from scipy.special import expit, roots_legendre
 
 from ._util import _require_counts, rng_from_seed, spawn_seeds
 from .mixture import _mixture_cdf, _model, model_to_dict
@@ -136,6 +134,8 @@ class VandermondeReport:
 
 
 def _unit_gl_nodes(nodes):
+    from scipy.special import roots_legendre
+
     x, w = roots_legendre(nodes)
     return 0.5 * (x + 1.0), 0.5 * w
 
@@ -219,6 +219,8 @@ def _combination_values(coeffs, components, x, sign):
     scipy's expit, not mld._cdf: the two differ by up to one ulp, and expit
     keeps subnormal tails.
     """
+    from scipy.special import expit
+
     x = np.asarray(x, dtype=float)
     out = 0.0
     for d, comp in zip(coeffs, components):
@@ -459,6 +461,8 @@ def matched_param_distance(m1, m2):
     """Best-assignment parameter gap between two models (inf if s differs)."""
     if m1.s != m2.s or m1.p != m2.p:
         return np.inf, None
+    from scipy.optimize import linear_sum_assignment
+
     dmat = _param_distance_matrix(m1, m2)
     rows, cols = linear_sum_assignment(dmat)
     return float(dmat[rows, cols].max()), tuple(int(c) for c in cols)
@@ -637,6 +641,8 @@ def probe_open_problem(p, s, n_trials, seed):
             return 10.0
         rep = mixture_equality_test(m1, cand)
         return rep.sup_norm_cdf_gap + 10.0 * max(0.0, MIN_PARAM_GAP - rep.max_param_gap)
+
+    from scipy.optimize import minimize
 
     res = minimize(
         objective, _flatten_model(m2), method="Nelder-Mead",

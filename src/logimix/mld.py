@@ -39,7 +39,6 @@ from functools import reduce
 from math import lgamma
 
 import numpy as np
-from scipy.special import expit
 
 from ._util import _require_counts, log1p_sum_exp_neg, open_uniform, rng_from_seed
 
@@ -202,6 +201,8 @@ def marginal_cdf(xk, params, k):
     xk = np.asarray(xk, dtype=float)
     if not np.all(np.isfinite(xk)):
         raise ValueError("coordinate value must be finite")
+    from scipy.special import expit
+
     out = expit((xk - params.mu[k]) / params.sigma[k])
     return _scalar_or_array(np.clip(out, 0.0, 1.0))
 

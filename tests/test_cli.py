@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,12 +110,17 @@ def test_blocked_sample_and_eval_match_one_pass(monkeypatch, model_path, tmp_pat
 @pytest.mark.parametrize("n", BLOCK_ROWS)
 def test_blocked_report_writes_non_finite_rows_as_null(monkeypatch, n):
     monkeypatch.setattr(mixture, "ROW_BLOCK", B)
-    rows = np.linspace(-3.0, 1.0, n)
-    rows[::3] = [np.nan, np.inf, -np.inf, np.nan][:len(rows[::3])]
-    head = {"seed": 1, "n": n, "total_log_likelihood": float(rows.sum())}
-    text = "".join(cli._eval_report_chunks(head, rows))
-    assert text == one_pass_report({**head, "per_row_log_pdf": rows.tolist()})
-    assert json.loads(text)["per_row_log_pdf"][0] is None
+    every_third = np.linspace(-3.0, 1.0, n)
+    every_third[::3] = [np.nan, np.inf, -np.inf, np.nan][:len(every_third[::3])]
+    # The first block all finite and the non-finite values in the next.
+    second_block = np.linspace(-3.0, 1.0, n)
+    second_block[B:B + 3] = [np.nan, np.inf, -np.inf][:len(second_block[B:B + 3])]
+    for rows in (every_third, second_block):
+        head = {"seed": 1, "n": n, "total_log_likelihood": float(rows.sum())}
+        text = "".join(cli._eval_report_chunks(head, rows))
+        assert text == one_pass_report({**head, "per_row_log_pdf": rows.tolist()})
+        assert json.loads(text)["per_row_log_pdf"] == [
+            v if np.isfinite(v) else None for v in rows.tolist()]
 
 
 def test_sample_then_eval_memory_is_bounded_by_the_blocks(tmp_path):
@@ -132,6 +141,46 @@ def test_sample_then_eval_memory_is_bounded_by_the_blocks(tmp_path):
         tracemalloc.stop()
     assert len(json.loads((tmp_path / "r.json").read_text())["per_row_log_pdf"]) == 100000
     assert peak <= 12 * 2**20
+
+
+SCIPY_PARTS = ("scipy.linalg", "scipy.optimize", "scipy.special")
+
+
+def cold_start(tmp_path, commands):
+    """Exit codes of ``commands`` run through ``cli.run`` in a fresh interpreter after
+    ``import logimix``, and which of SCIPY_PARTS that interpreter then holds."""
+    script = (
+        "import json, sys\n"
+        "import logimix\n"
+        "from logimix.cli import run\n"
+        "codes = [run(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, [m for m in %r if m in sys.modules]]))\n" % (SCIPY_PARTS,)
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(lm.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)], env=env, cwd=tmp_path,
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_sample_and_eval_never_load_scipy(model_path, tmp_path):
+    codes, loaded = cold_start(tmp_path, [
+        ["sample", "--model", str(model_path), "--n", "200", "--seed", "1", "--out", "d.csv"],
+        ["eval", "--model", str(model_path), "--data", "d.csv", "--out", "r.json"],
+    ])
+    assert codes == [0, 0]
+    assert loaded == []
+
+
+def test_fit_loads_scipy_linalg_only(model_path, tmp_path):
+    codes, loaded = cold_start(tmp_path, [
+        ["sample", "--model", str(model_path), "--n", "200", "--seed", "1", "--out", "d.csv"],
+        ["fit", "--data", "d.csv", "--s", "2", "--seed", "1", "--n-restarts", "1",
+         "--max-iter", "20", "--out", "m.json"],
+    ])
+    assert codes[0] == 0 and codes[1] in (0, 2)
+    assert loaded == ["scipy.linalg"]
 
 
 def test_sample_writes_labels(model_path, tmp_path):
