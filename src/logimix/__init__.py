@@ -4,8 +4,10 @@ Evaluation and exact sampling of the location-scale multivariate logistic
 distribution, finite mixtures of such components, maximum-likelihood fitting
 by generalized EM, and a numerical harness for mixture identifiability.
 
-scipy is imported inside the functions that call it, so that ``import logimix``
-and the ``sample`` and ``eval`` commands do not pay about 0.4 s and 45 MB for it.
+scipy is imported only inside the functions that call it: ``scipy.linalg.lapack``
+in the M-step, and ``scipy.optimize`` in the equality, trial and probe harnesses.
+So ``import logimix`` and the ``sample``, ``eval`` and ``check-id --mode gram``
+commands do not pay about 0.4 s and 45 MB for it.
 """
 
 from .estimation import (

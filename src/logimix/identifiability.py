@@ -26,7 +26,7 @@ import numpy as np
 
 from ._util import _require_counts, rng_from_seed, spawn_seeds
 from .mixture import _mixture_cdf, _model, model_to_dict
-from .mld import _cdf, _stack_components
+from .mld import _cdf, _scalar_or_array, _stack_components
 
 DISTINCT_GAP = 1e-3     # sup-norm gap above which two mixtures count as distinct
 EQUAL_GAP = 1e-9        # sup-norm gap below which they count as equal
@@ -134,9 +134,7 @@ class VandermondeReport:
 
 
 def _unit_gl_nodes(nodes):
-    from scipy.special import roots_legendre
-
-    x, w = roots_legendre(nodes)
+    x, w = np.polynomial.legendre.leggauss(nodes)
     return 0.5 * (x + 1.0), 0.5 * w
 
 
@@ -214,18 +212,17 @@ def gram_min_eigenvalue(components, nodes_per_axis=64):
 
 
 def _combination_values(coeffs, components, x, sign):
-    """sum_i d_i * expit(sign * (x - mu_i)/sigma_i) for one-dimensional components.
+    """sum_i d_i / (1 + e^{-sign * (x - mu_i)/sigma_i}) for one-dimensional components.
 
-    scipy's expit, not mld._cdf: the two differ by up to one ulp, and expit
-    keeps subnormal tails.
+    Each term is ``mld._cdf`` at sign * x and location sign * mu_i; +-inf give the tail limits.
     """
-    from scipy.special import expit
-
     x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        raise ValueError("x must not be NaN")
     out = 0.0
     for d, comp in zip(coeffs, components):
-        out = out + d * expit(sign * (x - comp.mu[0]) / comp.sigma[0])
-    return float(out) if np.ndim(out) == 0 else out
+        out = out + d * _cdf((sign * x,), sign * comp.mu, comp.sigma)
+    return _scalar_or_array(out)
 
 
 def evaluate_combination(lc, x):

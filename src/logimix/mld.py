@@ -201,10 +201,7 @@ def marginal_cdf(xk, params, k):
     xk = np.asarray(xk, dtype=float)
     if not np.all(np.isfinite(xk)):
         raise ValueError("coordinate value must be finite")
-    from scipy.special import expit
-
-    out = expit((xk - params.mu[k]) / params.sigma[k])
-    return _scalar_or_array(np.clip(out, 0.0, 1.0))
+    return _scalar_or_array(_cdf((xk,), params.mu[k:k + 1], params.sigma[k:k + 1]))
 
 
 def conditional_quantile(u, s_accum, j):

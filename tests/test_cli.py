@@ -183,6 +183,14 @@ def test_fit_loads_scipy_linalg_only(model_path, tmp_path):
     assert loaded == ["scipy.linalg"]
 
 
+def test_check_id_gram_never_loads_scipy(model_path, tmp_path):
+    codes, loaded = cold_start(tmp_path, [
+        ["check-id", "--mode", "gram", "--model", str(model_path), "--out", "gram.json"],
+    ])
+    assert codes == [0]
+    assert loaded == []
+
+
 def test_sample_writes_labels(model_path, tmp_path):
     out = tmp_path / "d.csv"
     labels = tmp_path / "labels.csv"

@@ -28,8 +28,7 @@ def dense_grid(axes):
 
 def one_shot_gram(mu, sigma, nodes):
     """The Gram quadrature of ``identifiability._gram_matrix`` over the whole grid in one pass."""
-    t, w = roots_legendre(nodes)
-    t, w = 0.5 * (t + 1.0), 0.5 * w
+    t, w = identifiability._unit_gl_nodes(nodes)
     x = np.clip(np.log(t) - np.log1p(-t), -40.0, 40.0)
     grid = np.ix_(*([x] * mu.shape[1]))
     wts = w
@@ -98,6 +97,17 @@ class TestGram:
         rep = lm.gram_min_eigenvalue(comps)
         assert rep.min_eigenvalue > 0
         assert rep.quadrature_converged
+
+    @pytest.mark.parametrize("nodes", [8, 64, 128, 256])
+    def test_unit_nodes_integrate_polynomials(self, nodes):
+        # An n-node Gauss-Legendre rule is exact for every degree up to 2n - 1.
+        t, w = identifiability._unit_gl_nodes(nodes)
+        assert np.all((t > 0.0) & (t < 1.0))
+        np.testing.assert_allclose(t + t[::-1], 1.0, rtol=0.0, atol=1e-15)
+        assert w.sum() == pytest.approx(1.0, rel=0.0, abs=1e-14)
+        k = np.arange(2 * nodes)
+        moments = (w * t ** k[:, None]).sum(axis=1) * (k + 1)
+        np.testing.assert_allclose(moments, 1.0, rtol=0.0, atol=2e-12)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_matches_dense_formulation(self, p):
@@ -223,6 +233,35 @@ class TestTailAndReflection:
             for d, c in zip(lc.coeffs, comps):
                 direct = direct + d * expit(-(x - c.mu[0]) / c.sigma[0])
             assert reflected(x) == direct
+
+    def test_huge_probes_give_the_exact_tails_without_overflow_warning(self):
+        lc = lm.LinearCombination([1.5, -0.25], (mld1(0.3, 0.5), mld1(-1.1, 2.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lm.tail_coefficient_sum(lc, 1e308) == 1.25
+            assert lm.tail_coefficient_sum(lc, -1e308) == 0.0
+
+    def test_infinite_probes_are_the_tail_limits(self):
+        lc = lm.LinearCombination([1.5, -0.25], (mld1(0.3, 0.5), mld1(-1.1, 2.0)))
+        assert lm.tail_coefficient_sum(lc, np.inf) == 1.25
+        assert lm.evaluate_combination(lc, -np.inf) == 0.0
+        assert np.array_equal(lm.evaluate_combination(lc, [-np.inf, np.inf]), [0.0, 1.25])
+        zero_sum = lm.LinearCombination([1.0, -1.0], (mld1(0.3, 0.5), mld1(-1.1, 2.0)))
+        reflected = lm.reflect_combination(zero_sum)
+        assert reflected(np.inf) == 0.0
+        assert reflected(-np.inf) == 0.0
+
+    def test_nan_probes_raise(self):
+        lc = lm.LinearCombination([1.0, -1.0], (mld1(0.3, 0.5), mld1(-1.1, 2.0)))
+        reflected = lm.reflect_combination(lc)
+        for probe in (
+            lambda: lm.evaluate_combination(lc, np.nan),
+            lambda: lm.evaluate_combination(lc, [0.0, np.nan]),
+            lambda: lm.tail_coefficient_sum(lc, float("nan")),
+            lambda: reflected(np.nan),
+        ):
+            with pytest.raises(ValueError, match="x must not be NaN"):
+                probe()
 
     def test_reflection_requires_zero_sum(self):
         lc = lm.LinearCombination([1.0, -0.5], (mld1(0.0, 1.0), mld1(1.0, 1.0)))

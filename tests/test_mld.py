@@ -257,6 +257,17 @@ class TestMarginals:
         with pytest.raises(ValueError):
             lm.marginal_cdf(0.0, params, 1)
 
+    def test_one_dimensional_marginal_is_the_joint_cdf_bit_for_bit(self):
+        params = lm.MldParams([0.3], [0.7])
+        x = np.linspace(-800.0, 800.0, 20001)
+        assert np.array_equal(lm.marginal_cdf(x, params, 0), lm.mld_cdf(x, params))
+        assert lm.marginal_cdf(-1.9, params, 0) == lm.mld_cdf(-1.9, params)
+
+    def test_huge_coordinate_gives_one_without_overflow_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lm.marginal_cdf(1e308, lm.MldParams([-1.0], [0.5]), 0) == 1.0
+
 
 class TestConditionalQuantile:
     def test_logistic_inverse(self):
