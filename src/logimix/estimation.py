@@ -282,7 +282,9 @@ def init_params(data, s, seed, strategy="quantile"):
         qs = (np.arange(s) + 0.5) / s
         centers = np.quantile(data, qs, axis=0)
     else:
-        distinct = np.unique(data, axis=0)
+        # The rows np.unique(data, axis=0) gives, without its structured-dtype sort.
+        rows = data[np.lexsort(data.T[::-1])]
+        distinct = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
         if distinct.shape[0] < s:
             raise ValueError(
                 "need at least %d distinct rows for random-rows init, found %d"

@@ -13,9 +13,9 @@ distributions.  This module probes that property from several angles:
   model into one, reducing multivariate questions to fewer coordinates.
 * A sup-norm cdf comparison on a fixed grid as the numerical surrogate for
   distribution equality: GRID_POINTS points per axis over every component's
-  mu +- GRID_SPAN sigma, for p <= 4.  Randomized trial harnesses and an
-  exploratory near-collision search for the regime with per-component scales
-  are built on it.
+  mu +- GRID_SPAN sigma, for p <= 4.  One kernel, ``_cdf_gaps``, takes pairs in
+  bounded blocks; the trial harnesses and the near-collision search for
+  per-component scales draw every pair first, then call it once.
 """
 
 import itertools
@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from ._util import _require_counts, rng_from_seed, spawn_seeds
-from .mixture import _mixture_cdf, _model, model_to_dict
+from .mixture import _model, model_to_dict
 from .mld import _cdf, _scalar_or_array, _stack_components
 
 DISTINCT_GAP = 1e-3     # sup-norm gap above which two mixtures count as distinct
@@ -35,7 +35,7 @@ NEAR_GAP = 1e-10        # probe gap below which a separated pair is a counterexa
 MIN_PARAM_GAP = 0.1     # separation enforced when drawing "distinct" models
 GRID_POINTS = 41        # equality grid points per axis
 GRID_SPAN = 10.0        # equality grid half-width, in component scales
-GRAM_BLOCK_POINTS = 2**18  # Gram quadrature points per slab (a whole grid up to this size)
+GRAM_BLOCK_POINTS = 2**18  # Gram slab points; _cdf_gaps values per (pair x component x point) temporary
 
 
 @dataclass(frozen=True, eq=False)
@@ -415,31 +415,74 @@ def collapse_pair(model, coord_pair, y_a, y_b):
 # Distribution equality on a grid
 
 
-def _evaluation_grid(models, points_per_axis=GRID_POINTS):
-    """Open tensor grid (``np.ix_``) of ``points_per_axis`` evenly spaced points per axis.
+def _require_grid_dimension(p, points_per_axis=GRID_POINTS):
+    """p > 4 raises: at GRID_POINTS, p = 5 gives 41**5 (1.2e8) points, 0.9 GB per float array."""
+    if p > 4:
+        raise ValueError("evaluation grid supports p <= 4 (it has %d**p points), got p=%d"
+                         % (points_per_axis, p))
 
-    Each axis spans every component's mu +- GRID_SPAN * sigma; a span beyond
-    the float range raises ValueError.  The grid has points_per_axis**p
-    points, so p > 4 raises ValueError too: at GRID_POINTS, p = 5 would give
-    41**5 (about 1.2e8) points, some 0.9 GB per float array over the grid.
-    """
+
+def _grid_axes(mu, sigma, points_per_axis=GRID_POINTS):
+    """Evenly spaced axes over mu +- GRID_SPAN * sigma of all S pooled components, for each of B
+    pairs: (B, S, p) in, one ``np.linspace`` of shape (points_per_axis, B, p) out."""
+    _require_grid_dimension(mu.shape[2], points_per_axis)
+    with np.errstate(over="ignore"):
+        los = (mu - GRID_SPAN * sigma).min(axis=1)
+        his = (mu + GRID_SPAN * sigma).max(axis=1)
+        finite = np.isfinite(his - los)
+    if not finite.all():
+        raise ValueError("evaluation grid span mu +- %g sigma overflows the float range on coordinate %d"
+                         % (GRID_SPAN, np.flatnonzero(~finite.all(axis=0))[0]))
+    return np.linspace(los, his, points_per_axis)
+
+
+def _evaluation_grid(models, points_per_axis=GRID_POINTS):
+    """Open tensor grid (``np.ix_``) of the ``_grid_axes`` pooled from every component of ``models``."""
     mu = np.concatenate([m._mu for m in models])
     sigma = np.concatenate([m._sigma for m in models])
-    if mu.shape[1] > 4:
-        raise ValueError(
-            "evaluation grid supports p <= 4 (it has %d**p points), got p=%d"
-            % (points_per_axis, mu.shape[1])
-        )
-    with np.errstate(over="ignore"):
-        los = np.min(mu - GRID_SPAN * sigma, axis=0)
-        his = np.max(mu + GRID_SPAN * sigma, axis=0)
-        bad = np.flatnonzero(~np.isfinite(his - los))
-    if bad.size:
-        raise ValueError(
-            "evaluation grid span mu +- %g sigma overflows the float range on coordinate %d"
-            % (GRID_SPAN, bad[0])
-        )
-    return np.ix_(*(np.linspace(lo, hi, points_per_axis) for lo, hi in zip(los, his)))
+    return np.ix_(*_grid_axes(mu[None], sigma[None], points_per_axis)[:, 0].T)
+
+
+def _batch_cdf(coords, w, mu, sigma):
+    """Clipped cdfs of b mixtures, w (b, s) and mu, sigma (b, s, p), on their grids: (b, *grid).
+
+    Axis k of ``coords`` is (b, 1, ..., n_k, ..., 1), n_k at position 2 + k.  The
+    components are weighted and summed in order, as in ``mixture_cdf``.
+    """
+    expand = (Ellipsis,) + (None,) * len(coords)
+    vals = _cdf(coords, mu.transpose(2, 0, 1)[expand], sigma.transpose(2, 0, 1)[expand])
+    out = w[:, 0][expand] * vals[:, 0]
+    for i in range(1, w.shape[1]):
+        out += w[:, i][expand] * vals[:, i]
+    return out.clip(0.0, 1.0, out=out)
+
+
+def _cdf_gaps(first, second):
+    """Sup-norm cdf gaps of B pairs of mixtures on their equality grids, shape (B,).
+
+    Each side is (w (B, s_side), mu (B, s_side, p), sigma (B, s_side, p)).  A
+    block holds at most GRAM_BLOCK_POINTS values per (pair x component x grid
+    point) temporary: several pairs, or one pair's grid in first-axis slabs.
+    A maximum over blocks and slabs is exact: each gap is its one-pass value.
+    """
+    (w1, mu1, sg1), (w2, mu2, sg2) = first, second
+    p = mu1.shape[2]
+    per_row = max(w1.shape[1], w2.shape[1]) * GRID_POINTS ** (p - 1)
+    pairs = max(1, GRAM_BLOCK_POINTS // (per_row * GRID_POINTS))
+    rows = min(GRID_POINTS, max(1, GRAM_BLOCK_POINTS // per_row))
+    gaps = np.zeros(len(w1))
+    for lo in range(0, len(w1), pairs):
+        blk = slice(lo, lo + pairs)
+        axes = _grid_axes(np.concatenate((mu1[blk], mu2[blk]), axis=1),
+                          np.concatenate((sg1[blk], sg2[blk]), axis=1)).T
+        b = axes.shape[1]
+        grid = [ax.reshape((b, 1) + (1,) * k + (-1,) + (1,) * (p - 1 - k)) for k, ax in enumerate(axes)]
+        for r in range(0, GRID_POINTS, rows):
+            coords = [grid[0][:, :, r:r + rows]] + grid[1:]
+            diff = _batch_cdf(coords, w1[blk], mu1[blk], sg1[blk])
+            diff -= _batch_cdf(coords, w2[blk], mu2[blk], sg2[blk])
+            gaps[blk] = np.maximum(gaps[blk], np.abs(diff, out=diff).reshape(b, -1).max(axis=1))
+    return gaps
 
 
 def _component_gaps(mu1, sigma1, mu2, sigma2):
@@ -478,8 +521,7 @@ def mixture_equality_test(m1, m2):
     """
     if m1.p != m2.p:
         raise ValueError("models have different dimensions %d and %d" % (m1.p, m2.p))
-    grid = _evaluation_grid((m1, m2))
-    gap = float(np.max(np.abs(_mixture_cdf(grid, m1) - _mixture_cdf(grid, m2))))
+    gap = float(_cdf_gaps(*((m.weights[None], m._mu[None], m._sigma[None]) for m in (m1, m2)))[0])
     max_gap, perm = matched_param_distance(m1, m2)
     return EqualityReport(
         sup_norm_cdf_gap=gap,
@@ -492,6 +534,11 @@ def mixture_equality_test(m1, m2):
 
 # ---------------------------------------------------------------------------
 # Randomized harnesses
+
+
+def _stacked(models):
+    """(w (B, s), mu (B, s, p), sigma (B, s, p)) of B models that share s and p."""
+    return tuple(np.stack([getattr(m, f) for m in models]) for f in ("weights", "_mu", "_sigma"))
 
 
 def _random_weights(s, rng):
@@ -546,23 +593,16 @@ def identifiability_trial(p, s, shared_scale, seed, n_trials):
     covered = p == 1 or (p in (2, 3) and shared_scale)
     if not covered:
         return probe_open_problem(p, s, n_trials, seed)
-    distinct_pass = 0
-    permuted_pass = 0
-    min_distinct_gap = np.inf
-    max_permuted_gap = 0.0
-    for trial_seed in spawn_seeds(seed, n_trials):
-        rng = rng_from_seed(trial_seed)
-        m1, m2 = _random_model_pair(p, s, rng, shared_scale)
-        rep = mixture_equality_test(m1, m2)
-        min_distinct_gap = min(min_distinct_gap, rep.sup_norm_cdf_gap)
-        if not rep.equal_distribution and rep.sup_norm_cdf_gap > DISTINCT_GAP:
-            distinct_pass += 1
-        perm = np.roll(np.arange(s), 1)
-        permuted = _model(m1.weights[perm], m1._mu[perm], m1._sigma[perm])
-        prep = mixture_equality_test(m1, permuted)
-        max_permuted_gap = max(max_permuted_gap, prep.sup_norm_cdf_gap)
-        if prep.equal_distribution and prep.equal_parameters:
-            permuted_pass += 1
+    perm = np.roll(np.arange(s), 1)
+    pairs = [_random_model_pair(p, s, rng_from_seed(t), shared_scale) for t in spawn_seeds(seed, n_trials)]
+    firsts = [m1 for m1, _ in pairs]
+    permuted = [_model(m.weights[perm], m._mu[perm], m._sigma[perm]) for m in firsts]
+    gaps = _cdf_gaps(_stacked(firsts), _stacked([m2 for _, m2 in pairs]))
+    permuted_gaps = _cdf_gaps(_stacked(firsts), _stacked(permuted))
+    # A distinct pair must not test equal, gap < EQUAL_GAP, which gap > DISTINCT_GAP excludes.
+    distinct_pass = int(np.sum(gaps > DISTINCT_GAP))
+    permuted_pass = sum(bool(gap < EQUAL_GAP) and matched_param_distance(m, pm)[0] < PARAM_EQUAL_GAP
+                        for gap, m, pm in zip(permuted_gaps, firsts, permuted))
     return {
         "mode": "trial",
         "p": p,
@@ -574,8 +614,8 @@ def identifiability_trial(p, s, shared_scale, seed, n_trials):
         "distinct_failures": n_trials - distinct_pass,
         "permuted_passes": permuted_pass,
         "permuted_failures": n_trials - permuted_pass,
-        "min_distinct_gap": float(min_distinct_gap),
-        "max_permuted_gap": float(max_permuted_gap),
+        "min_distinct_gap": float(gaps.min()),
+        "max_permuted_gap": float(permuted_gaps.max()),
         "distinct_threshold": DISTINCT_GAP,
     }
 
@@ -612,24 +652,20 @@ def probe_open_problem(p, s, n_trials, seed):
     p, s, n_trials = int(p), int(s), int(n_trials)
     if p < 2:
         raise ValueError("the exploratory probe targets p >= 2")
-    best = None
-    trial_seeds = spawn_seeds(seed, n_trials)
-    for t, trial_seed in enumerate(trial_seeds):
+    _require_grid_dimension(p)
+    drawn = []
+    for t, trial_seed in enumerate(spawn_seeds(seed, n_trials)):
         rng = rng_from_seed(trial_seed)
         m1 = _random_model(p, s, rng, shared_scale=False)
-        if t % 2 == 0:
-            m2 = _random_model(p, s, rng, shared_scale=False)
-        else:
-            m2 = _perturb_model(m1, rng)
+        m2 = _random_model(p, s, rng, shared_scale=False) if t % 2 == 0 else _perturb_model(m1, rng)
         gap_d, _ = matched_param_distance(m1, m2)
-        if gap_d < MIN_PARAM_GAP:
-            continue
-        rep = mixture_equality_test(m1, m2)
-        if best is None or rep.sup_norm_cdf_gap < best[0]:
-            best = (rep.sup_norm_cdf_gap, gap_d, m1, m2)
-    if best is None:
+        if gap_d >= MIN_PARAM_GAP:
+            drawn.append((gap_d, m1, m2))
+    if not drawn:
         raise RuntimeError("every random pair failed the separation filter")
-    gap0, dist0, m1, m2 = best
+    gaps = _cdf_gaps(_stacked([d[1] for d in drawn]), _stacked([d[2] for d in drawn]))
+    best = int(np.argmin(gaps))
+    (dist0, m1, m2), gap0 = drawn[best], float(gaps[best])
 
     def objective(theta):
         try:

@@ -4,9 +4,9 @@ A mixture is an (s,) weight vector on the simplex plus s components of common
 dimension p, stacked as (s, p) location and scale arrays whose row i is
 component i.  A ``MixtureModel`` stores these three arrays and nothing else;
 the package builds them through ``_model`` and reads mixtures through them.
-The kernels take one call per component, on its rows, as a broadcast over s
-would multiply every temporary by s.  Evaluation functions accept points
-shaped (..., p) like the single-component ones in :mod:`logimix.mld`.
+The kernels take one call per component; the equality grids of ``identifiability``
+broadcast over s, in blocks that bound each temporary.  Evaluation functions accept
+points shaped (..., p) like the single-component ones in :mod:`logimix.mld`.
 """
 
 import json
@@ -106,17 +106,9 @@ def _model(weights, mu, sigma):
 def mixture_cdf(x, model):
     """Weighted sum of component cdfs, clipped to [0, 1]."""
     x = _as_points(x, model.p)
-    return _scalar_or_array(_mixture_cdf(x.transpose(-1, *range(x.ndim - 1)), model))
-
-
-def _mixture_cdf(coords, model):
-    """Clipped sum_i pi_i L_i at p coordinate arrays that broadcast together.
-
-    ``coords`` is what ``mld._cdf`` takes: the columns of validated points, or
-    the open per-axis vectors of a tensor grid.
-    """
+    coords = x.transpose(-1, *range(x.ndim - 1))
     out = sum(w * _cdf(coords, m, sg) for w, m, sg in zip(model.weights, model._mu, model._sigma))
-    return np.clip(out, 0.0, 1.0)
+    return _scalar_or_array(np.clip(out, 0.0, 1.0))
 
 
 def _weighted_log_pdfs(x, model, log_pdfs=None):

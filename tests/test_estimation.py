@@ -4,7 +4,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 import logimix as lm
 from logimix import estimation
-from logimix._util import spawn_seeds
+from logimix._util import rng_from_seed, spawn_seeds
 from logimix.estimation import _ascend, _component_parts, _newton_direction, _weighted_obj_derivs
 
 from oracles import fd_log_pdf_gradients
@@ -143,6 +143,19 @@ class TestInit:
         b = lm.init_params(data, 3, seed=11, strategy="random-rows")
         for ca, cb in zip(a.components, b.components):
             assert np.array_equal(ca.mu, cb.mu)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_random_rows_centres_match_unique_rows(self, p):
+        rng = np.random.default_rng(40 + p)
+        rows = np.round(rng.normal(size=(60, p)), 1)
+        data = np.concatenate([rows, rows[rng.integers(0, 60, 90)]])
+        rng.shuffle(data)
+        distinct = np.unique(data, axis=0)
+        assert len(distinct) < len(data)
+        for seed in (0, 3, 17):
+            idx = rng_from_seed(seed).choice(len(distinct), size=4, replace=False)
+            model = lm.init_params(data, 4, seed, strategy="random-rows")
+            assert np.array_equal(model._mu, distinct[idx])
 
     def test_too_few_distinct_rows(self):
         data = np.ones((10, 1))

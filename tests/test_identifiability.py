@@ -8,8 +8,9 @@ from scipy.special import expit, roots_legendre
 
 import logimix as lm
 from logimix import identifiability
+from logimix._util import rng_from_seed, spawn_seeds
 from logimix.identifiability import _param_distance_matrix
-from logimix.mixture import model_from_dict
+from logimix.mixture import model_from_dict, model_to_dict
 from logimix.mld import _cdf, _stack_components
 
 
@@ -38,6 +39,67 @@ def one_shot_gram(mu, sigma, nodes):
     vals = np.stack([_cdf(grid, m, sg).ravel() for m, sg in zip(mu, sigma)])
     gram = (vals * wts) @ vals.T
     return 0.5 * (gram + gram.T)
+
+
+def random_mixture(rng, p, s):
+    return lm.MixtureModel(rng.dirichlet(np.ones(s)), random_components(rng, p, s))
+
+
+def dense_gap(m1, m2):
+    """max |F1 - F2| over the pooled 41-point-per-axis grid, built from scalar linspaces and
+    evaluated by the public mixture_cdf one first-axis point at a time (a maximum of maxima)."""
+    comps = m1.components + m2.components
+    lo = np.min([c.mu - identifiability.GRID_SPAN * c.sigma for c in comps], axis=0)
+    hi = np.max([c.mu + identifiability.GRID_SPAN * c.sigma for c in comps], axis=0)
+    axes = [np.linspace(lo[k], hi[k], identifiability.GRID_POINTS) for k in range(len(lo))]
+    gap = 0.0
+    for x0 in axes[0]:
+        pts = dense_grid([[x0]] + axes[1:])
+        gap = max(gap, np.max(np.abs(lm.mixture_cdf(pts, m1) - lm.mixture_cdf(pts, m2))))
+    return gap
+
+
+def reference_trial(p, s, shared_scale, seed, n_trials):
+    """The trial harness as a loop of per-pair mixture_equality_test calls."""
+    distinct = permuted_ok = 0
+    gaps, permuted_gaps = [], []
+    for trial_seed in spawn_seeds(seed, n_trials):
+        m1, m2 = identifiability._random_model_pair(p, s, rng_from_seed(trial_seed), shared_scale)
+        rep = lm.mixture_equality_test(m1, m2)
+        gaps.append(rep.sup_norm_cdf_gap)
+        distinct += not rep.equal_distribution and rep.sup_norm_cdf_gap > identifiability.DISTINCT_GAP
+        perm = np.roll(np.arange(s), 1)
+        permuted = lm.MixtureModel(m1.weights[perm], tuple(m1.components[i] for i in perm))
+        prep = lm.mixture_equality_test(m1, permuted)
+        permuted_gaps.append(prep.sup_norm_cdf_gap)
+        permuted_ok += prep.equal_distribution and prep.equal_parameters
+    return {
+        "mode": "trial", "p": p, "s": s, "shared_scale": shared_scale, "seed": seed,
+        "n_trials": n_trials, "distinct_passes": distinct, "distinct_failures": n_trials - distinct,
+        "permuted_passes": permuted_ok, "permuted_failures": n_trials - permuted_ok,
+        "min_distinct_gap": min(gaps), "max_permuted_gap": max(permuted_gaps),
+        "distinct_threshold": identifiability.DISTINCT_GAP,
+    }
+
+
+def reference_probe_start(p, s, n_trials, seed):
+    """(gap, parameter distance, m1, m2) of the first random probe pair with the smallest
+    mixture_equality_test gap, pairs drawn and filtered as probe_open_problem draws them."""
+    best = None
+    for t, trial_seed in enumerate(spawn_seeds(seed, n_trials)):
+        rng = rng_from_seed(trial_seed)
+        m1 = identifiability._random_model(p, s, rng, shared_scale=False)
+        if t % 2 == 0:
+            m2 = identifiability._random_model(p, s, rng, shared_scale=False)
+        else:
+            m2 = identifiability._perturb_model(m1, rng)
+        dist, _ = lm.matched_param_distance(m1, m2)
+        if dist < identifiability.MIN_PARAM_GAP:
+            continue
+        gap = lm.mixture_equality_test(m1, m2).sup_norm_cdf_gap
+        if best is None or gap < best[0]:
+            best = (gap, dist, m1, m2)
+    return best
 
 
 def shared_sigma_model(rng, p, s):
@@ -545,6 +607,91 @@ class TestEqualityTest:
         m2 = lm.MixtureModel([1.0], (lm.MldParams([0.0, 0.0], [1.0, 1.0]),))
         with pytest.raises(ValueError):
             lm.mixture_equality_test(m1, m2)
+
+
+def stacked_pairs(rng, p, s1, s2, n_pairs):
+    pairs = [(random_mixture(rng, p, s1), random_mixture(rng, p, s2)) for _ in range(n_pairs)]
+    return pairs, identifiability._stacked([a for a, _ in pairs]), identifiability._stacked([b for _, b in pairs])
+
+
+class TestCdfGaps:
+    @pytest.mark.parametrize("p, s1, s2", [
+        (p, s1, s2) for p in (1, 2, 3) for s1 in (1, 2, 3) for s2 in (1, 2, 3)
+    ] + [(4, 2, 3), (4, 3, 1)])
+    def test_batch_equals_dense_mixture_cdf_exactly(self, p, s1, s2):
+        rng = np.random.default_rng(100 * p + 10 * s1 + s2)
+        pairs, first, second = stacked_pairs(rng, p, s1, s2, 2 if p == 4 else 4)
+        gaps = identifiability._cdf_gaps(first, second)
+        assert gaps.shape == (len(pairs),)
+        assert gaps.tolist() == [dense_gap(m1, m2) for m1, m2 in pairs]
+        assert [lm.mixture_equality_test(m1, m2).sup_norm_cdf_gap for m1, m2 in pairs] == gaps.tolist()
+
+    @pytest.mark.parametrize("p, s1, s2, n_pairs, block_points", [
+        (2, 2, 3, 5, 2 * 3 * 41**2),  # two pairs to a block: blocks of 2, 2 and 1
+        (2, 2, 3, 5, 3 * 41 * 7),     # one pair to a block, its grid in slabs of 7, ..., 7 and 6 rows
+        (1, 3, 1, 4, 1),              # one grid point to a slab
+        (3, 1, 2, 3, 2 * 41**2 * 10),  # slabs of 10, 10, 10, 10 and 1 rows
+    ])
+    def test_blocks_and_slabs_equal_dense_mixture_cdf_exactly(self, monkeypatch, p, s1, s2, n_pairs,
+                                                             block_points):
+        monkeypatch.setattr(identifiability, "GRAM_BLOCK_POINTS", block_points)
+        rng = np.random.default_rng(7 * p + n_pairs)
+        pairs, first, second = stacked_pairs(rng, p, s1, s2, n_pairs)
+        assert identifiability._cdf_gaps(first, second).tolist() == [dense_gap(m1, m2) for m1, m2 in pairs]
+
+    def test_four_dimensional_equality_test_memory_is_bounded_by_the_slabs(self):
+        # One slab holds 2 * 41**3 values per temporary; one pass over the grid traced 86.2 MiB.
+        rng = np.random.default_rng(9)
+        m1, m2 = random_mixture(rng, 4, 2), random_mixture(rng, 4, 2)
+        lm.mixture_equality_test(m1, m2)
+        tracemalloc.start()
+        try:
+            lm.mixture_equality_test(m1, m2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+
+    @pytest.mark.parametrize("p, s, shared_scale, n_trials", [
+        (1, 2, False, 12), (1, 3, False, 5), (2, 2, True, 100), (3, 2, True, 4),
+    ])
+    def test_trial_report_equals_per_pair_equality_tests(self, p, s, shared_scale, n_trials):
+        for seed in (4, 9):
+            assert lm.identifiability_trial(p, s, shared_scale, seed, n_trials) == \
+                reference_trial(p, s, shared_scale, seed, n_trials)
+
+    @pytest.mark.parametrize("p, s, n_trials", [(2, 2, 30), (2, 1, 7), (3, 2, 5)])
+    def test_probe_starts_from_the_per_pair_best(self, monkeypatch, p, s, n_trials):
+        """The probe refines the first pair with the smallest per-pair gap, and reports it unless
+        the refinement finds a smaller gap at a separated pair."""
+        import scipy.optimize
+
+        started = []
+
+        def no_refinement(fun, x0, **kwargs):
+            started.append(x0)
+            return scipy.optimize.OptimizeResult(x=np.full_like(x0, 50.0))
+
+        monkeypatch.setattr(scipy.optimize, "minimize", no_refinement)
+        for seed in (2, 31):
+            gap, dist, m1, m2 = reference_probe_start(p, s, n_trials, seed)
+            report = lm.probe_open_problem(p, s, n_trials, seed)
+            assert np.array_equal(started.pop(), identifiability._flatten_model(m2))
+            assert (report["smallest_gap"], report["param_distance"]) == (gap, dist)
+            assert report["witness_pair"] == [model_to_dict(m1), model_to_dict(m2)]
+
+    @pytest.mark.parametrize("entry", [
+        lambda: lm.probe_open_problem(p=5, s=2, n_trials=3, seed=0),
+        lambda: lm.identifiability_trial(p=5, s=2, shared_scale=False, seed=0, n_trials=3),
+        lambda: lm.identifiability_trial(p=5, s=2, shared_scale=True, seed=0, n_trials=3),
+    ], ids=["probe", "trial", "shared-scale-trial"])
+    def test_dimension_is_checked_before_any_draw(self, monkeypatch, entry):
+        def fail(*args, **kwargs):
+            raise AssertionError("a model was drawn before the dimension check")
+
+        monkeypatch.setattr(identifiability, "_random_model", fail)
+        with pytest.raises(ValueError, match=r"supports p <= 4 .*, got p=5$"):
+            entry()
 
 
 @pytest.mark.parametrize("components", [
