@@ -8,6 +8,11 @@ backtracking line search accepts a step only if it improves the objective.
 Every accepted inner step therefore improves the expected complete-data
 objective, which keeps the observed log-likelihood monotone up to
 floating-point slack (generalized EM).
+
+One EM step (``_em_step``) is that M-step and then the E-step at its result.
+A run (``_em_single``) is the E-step of its start and then steps, each after
+the starvation rule, until one raises the log-likelihood by less than REL_TOL *
+max(1, |log-likelihood|) (converged) or max_iter steps are taken (not converged).
 """
 
 import warnings
@@ -137,18 +142,17 @@ def _correction_index(p):
     return np.concatenate([k, k, p + k, p + k]), np.concatenate([k, p + k, p + k, k])
 
 
-def _weighted_obj_derivs(data, resp, mu, log_sigma, parts=None):
+def _weighted_obj_derivs(resp, parts):
     """Objective, gradient and Hessian of the M-step in (mu, log sigma).
 
     The objective is the responsibility-weighted mean log density, which has
     the same maximizer as the weighted sum and keeps the natural Newton step
     near unity regardless of the dataset size.  Parameters are ordered
-    (mu_1, ..., mu_p, log sigma_1, ..., log sigma_p).  ``data`` is
-    coordinate-major, shape (p, n).  ``parts`` are the component's
-    ``_component_parts`` at (mu, exp(log sigma)); they are computed from
-    ``data`` when not given.  With z = (x - mu)/sigma,
-    w_k = exp(-z_k)/(1 + sum_j exp(-z_j)) and g_k = (p+1) w_k - 1, a row's log
-    density has z-gradient g and z-Hessian H_z = (p+1)(w w' - diag w), so
+    (mu_1, ..., mu_p, log sigma_1, ..., log sigma_p).  ``parts`` are the
+    component's ``_component_parts`` at (mu, exp(log sigma)).  With
+    z = (x - mu)/sigma, w_k = exp(-z_k)/(1 + sum_j exp(-z_j)) and
+    g_k = (p+1) w_k - 1, a row's log density has z-gradient g and z-Hessian
+    H_z = (p+1)(w w' - diag w), so
 
         H = J' H_z J + sum_k g_k Hess(z_k)
 
@@ -162,10 +166,8 @@ def _weighted_obj_derivs(data, resp, mu, log_sigma, parts=None):
     transpose through syrk), so each cross correction is subtracted from both
     off-diagonal blocks in one scatter.
     """
-    if parts is None:
-        parts = _component_parts(data, mu, np.exp(log_sigma))
     sigma, log_pdf, z, w, zw, zzw, stacked = parts
-    p = mu.size
+    p = sigma.size
     total = resp.sum()
     obj = float(np.dot(resp, log_pdf)) / total
     u = np.sqrt(resp) * stacked
@@ -215,7 +217,7 @@ def _newton_direction(grad, hess):
 def _ascend(data, resp, mu, log_sigma, iters=MAX_NEWTON_STEPS, parts=None):
     """Damped Newton ascent of the M-step objective in (mu, log sigma).
 
-    ``data`` is coordinate-major, shape (p, n), as ``_weighted_obj_derivs``
+    ``data`` is coordinate-major, shape (p, n), as ``_component_parts``
     takes it, and ``parts`` are the component's parts at the start, computed
     when not given.  Returns the accepted (mu, log sigma) and its parts.
     Each step solves (lam I - H) d = g, where lam is a Levenberg shift added
@@ -237,7 +239,7 @@ def _ascend(data, resp, mu, log_sigma, iters=MAX_NEWTON_STEPS, parts=None):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if parts is None:
             parts = _component_parts(data, mu, np.exp(log_sigma))
-        obj, grad, hess = _weighted_obj_derivs(data, resp, mu, log_sigma, parts)
+        obj, grad, hess = _weighted_obj_derivs(resp, parts)
         for _ in range(iters):
             if not np.sqrt(grad @ grad) >= NEWTON_GTOL:
                 break
@@ -248,9 +250,7 @@ def _ascend(data, resp, mu, log_sigma, iters=MAX_NEWTON_STEPS, parts=None):
             while step >= 2.0**-60:
                 cand = theta + step * d
                 cand_parts = _component_parts(data, cand[:p], np.exp(cand[p:]))
-                cand_obj, cand_grad, cand_hess = _weighted_obj_derivs(
-                    data, resp, cand[:p], cand[p:], cand_parts
-                )
+                cand_obj, cand_grad, cand_hess = _weighted_obj_derivs(resp, cand_parts)
                 if cand_obj > obj:
                     break
                 step *= 0.5
@@ -316,49 +316,44 @@ def _e_step(data, model, log_pdfs=None):
     return resp, float(row_ll.sum()), int(bad.sum())
 
 
+def _em_step(coords, model, parts, resp, starved):
+    """One EM step from ``model`` and its E-step ``resp``: (model, parts, resp, log-likelihood).
+
+    ``parts[i]`` are component i's ``_Parts`` at (mu[i], sigma[i]).  An ascent starts from them
+    when exp(log(sigma[i])) rounds back to sigma[i], so parts are computed only at trial points,
+    and the E-step reads its log densities from them.  ``starved`` components keep their values.
+    """
+    mu, sigma, parts = model._mu.copy(), model._sigma.copy(), list(parts)
+    for i in np.flatnonzero(~starved):
+        log_sigma = np.log(sigma[i])
+        start = parts[i] if (np.exp(log_sigma) == sigma[i]).all() else None
+        mu[i], _, parts[i] = _ascend(coords, resp[i], mu[i], log_sigma, parts=start)
+        sigma[i] = parts[i].sigma
+    weights = np.maximum(resp.sum(axis=1) / coords.shape[1], WEIGHT_FLOOR)
+    # MixtureModel renormalises the weights again; fits depend on that rounding.
+    model = _model(weights / weights.sum(), mu, sigma)
+    resp, loglik, _ = _e_step(coords, model, [pt.log_pdf for pt in parts])
+    return model, parts, resp, loglik
+
+
 def _em_single(data, config, seed, strategy, allow_degenerate):
     """One EM run, (model, trace, converged); None once a component starves,
-    unless ``allow_degenerate``, which freezes starved components instead.
-
-    The M-step overwrites rows of (s, p) mu and sigma arrays.  They carry
-    sigma, not log sigma: exp(log(sigma)) need not round back to sigma.
-    ``parts[i]`` are always component i's ``_Parts`` at (mu[i], sigma[i]): the
-    E-step takes its log densities from them, and an ascent starts from them
-    when exp(log(sigma[i])) does round back to sigma[i], so every iteration
-    computes each component's parts only at the M-step's trial points.
-    """
+    unless ``allow_degenerate``, which freezes starved components instead."""
     model = init_params(data, config.s, seed, strategy)
-    mu, sigma = model._mu.copy(), model._sigma.copy()
     coords = _coordinate_major(data)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         parts = [_component_parts(coords, m, sg) for m, sg in zip(model._mu, model._sigma)]
-    trace = []
-    converged = False
+    resp, loglik, _ = _e_step(coords, model, [pt.log_pdf for pt in parts])
+    trace = [loglik]
     for _ in range(config.max_iter):
-        resp, loglik, _ = _e_step(coords, model, [pt.log_pdf for pt in parts])
-        if trace and (loglik - trace[-1]) < REL_TOL * max(1.0, abs(loglik)):
-            trace.append(loglik)
-            converged = True
-            break
-        trace.append(loglik)
-        totals = resp.sum(axis=1)
-        starved = totals < DEGENERATE_RESP_TOTAL
+        starved = resp.sum(axis=1) < DEGENERATE_RESP_TOTAL
         if starved.any() and not allow_degenerate:
             return None
-        weights = np.maximum(totals / data.shape[0], WEIGHT_FLOOR)
-        weights = weights / weights.sum()
-        for i in np.flatnonzero(~starved):
-            log_sigma = np.log(sigma[i])
-            start = parts[i] if (np.exp(log_sigma) == sigma[i]).all() else None
-            mu[i], _, parts[i] = _ascend(coords, resp[i], mu[i], log_sigma, parts=start)
-            sigma[i] = parts[i].sigma
-        # MixtureModel renormalises the weights again; fits depend on that rounding.
-        model = _model(weights, mu, sigma)
-    else:
-        # Cap reached: refresh the trace so it reflects the final model.
-        _, loglik, _ = _e_step(coords, model, [pt.log_pdf for pt in parts])
+        model, parts, resp, loglik = _em_step(coords, model, parts, resp, starved)
         trace.append(loglik)
-    return model, np.asarray(trace), converged
+        if loglik - trace[-2] < REL_TOL * max(1.0, abs(loglik)):
+            return model, np.asarray(trace), True
+    return model, np.asarray(trace), False
 
 
 def em_fit(data, config):

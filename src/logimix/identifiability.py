@@ -594,15 +594,20 @@ def identifiability_trial(p, s, shared_scale, seed, n_trials):
     if not covered:
         return probe_open_problem(p, s, n_trials, seed)
     perm = np.roll(np.arange(s), 1)
-    pairs = [_random_model_pair(p, s, rng_from_seed(t), shared_scale) for t in spawn_seeds(seed, n_trials)]
-    firsts = [m1 for m1, _ in pairs]
-    permuted = [_model(m.weights[perm], m._mu[perm], m._sigma[perm]) for m in firsts]
-    gaps = _cdf_gaps(_stacked(firsts), _stacked([m2 for _, m2 in pairs]))
-    permuted_gaps = _cdf_gaps(_stacked(firsts), _stacked(permuted))
-    # A distinct pair must not test equal, gap < EQUAL_GAP, which gap > DISTINCT_GAP excludes.
-    distinct_pass = int(np.sum(gaps > DISTINCT_GAP))
-    permuted_pass = sum(bool(gap < EQUAL_GAP) and matched_param_distance(m, pm)[0] < PARAM_EQUAL_GAP
-                        for gap, m, pm in zip(permuted_gaps, firsts, permuted))
+    # Trials are drawn, evaluated and reduced in chunks of one _cdf_gaps block of pairs each.
+    seeds, chunk = spawn_seeds(seed, n_trials), max(1, GRAM_BLOCK_POINTS // (s * GRID_POINTS**p))
+    distinct_pass, permuted_pass, min_gap, max_permuted_gap = 0, 0, np.inf, -np.inf
+    for lo in range(0, n_trials, chunk):
+        pairs = [_random_model_pair(p, s, rng_from_seed(t), shared_scale) for t in seeds[lo:lo + chunk]]
+        firsts = [m1 for m1, _ in pairs]
+        permuted = [_model(m.weights[perm], m._mu[perm], m._sigma[perm]) for m in firsts]
+        gaps = _cdf_gaps(_stacked(firsts), _stacked([m2 for _, m2 in pairs]))
+        permuted_gaps = _cdf_gaps(_stacked(firsts), _stacked(permuted))
+        # A distinct pair must not test equal, gap < EQUAL_GAP, which gap > DISTINCT_GAP excludes.
+        distinct_pass += int(np.sum(gaps > DISTINCT_GAP))
+        permuted_pass += sum(bool(gap < EQUAL_GAP) and matched_param_distance(m, pm)[0] < PARAM_EQUAL_GAP
+                             for gap, m, pm in zip(permuted_gaps, firsts, permuted))
+        min_gap, max_permuted_gap = min(min_gap, gaps.min()), max(max_permuted_gap, permuted_gaps.max())
     return {
         "mode": "trial",
         "p": p,
@@ -614,8 +619,8 @@ def identifiability_trial(p, s, shared_scale, seed, n_trials):
         "distinct_failures": n_trials - distinct_pass,
         "permuted_passes": permuted_pass,
         "permuted_failures": n_trials - permuted_pass,
-        "min_distinct_gap": float(gaps.min()),
-        "max_permuted_gap": float(permuted_gaps.max()),
+        "min_distinct_gap": float(min_gap),
+        "max_permuted_gap": float(max_permuted_gap),
         "distinct_threshold": DISTINCT_GAP,
     }
 
@@ -653,19 +658,24 @@ def probe_open_problem(p, s, n_trials, seed):
     if p < 2:
         raise ValueError("the exploratory probe targets p >= 2")
     _require_grid_dimension(p)
-    drawn = []
-    for t, trial_seed in enumerate(spawn_seeds(seed, n_trials)):
-        rng = rng_from_seed(trial_seed)
-        m1 = _random_model(p, s, rng, shared_scale=False)
-        m2 = _random_model(p, s, rng, shared_scale=False) if t % 2 == 0 else _perturb_model(m1, rng)
-        gap_d, _ = matched_param_distance(m1, m2)
-        if gap_d >= MIN_PARAM_GAP:
-            drawn.append((gap_d, m1, m2))
-    if not drawn:
+    seeds, chunk = spawn_seeds(seed, n_trials), max(1, GRAM_BLOCK_POINTS // (s * GRID_POINTS**p))
+    best = None
+    for lo in range(0, n_trials, chunk):
+        drawn = []
+        for t, trial_seed in enumerate(seeds[lo:lo + chunk], lo):
+            rng = rng_from_seed(trial_seed)
+            m1 = _random_model(p, s, rng, shared_scale=False)
+            m2 = _random_model(p, s, rng, shared_scale=False) if t % 2 == 0 else _perturb_model(m1, rng)
+            gap_d, _ = matched_param_distance(m1, m2)
+            if gap_d >= MIN_PARAM_GAP:
+                drawn.append((gap_d, m1, m2))
+        gaps = _cdf_gaps(_stacked([d[1] for d in drawn]), _stacked([d[2] for d in drawn])) if drawn else []
+        # Only a strictly smaller gap replaces the best, so it is the first argmin over every trial.
+        for gap, pair in zip(gaps, drawn):
+            best = (float(gap),) + pair if best is None or gap < best[0] else best
+    if best is None:
         raise RuntimeError("every random pair failed the separation filter")
-    gaps = _cdf_gaps(_stacked([d[1] for d in drawn]), _stacked([d[2] for d in drawn]))
-    best = int(np.argmin(gaps))
-    (dist0, m1, m2), gap0 = drawn[best], float(gaps[best])
+    gap0, dist0, m1, m2 = best
 
     def objective(theta):
         try:

@@ -192,7 +192,7 @@ class TestNewtonMStep:
     def test_derivatives_match_finite_differences(self, p):
         data, resp, mu, log_sigma = _newton_case(p, 40 + p)
         theta = np.concatenate([mu, log_sigma])
-        obj, grad, hess = _weighted_obj_derivs(data.T, resp, mu, log_sigma)
+        obj, grad, hess = _weighted_obj_derivs(resp, _component_parts(data.T, mu, np.exp(log_sigma)))
 
         def f(t):
             return _mean_log_pdf(data, resp, t[:p], t[p:])
@@ -384,6 +384,36 @@ class TestEmFit:
         start = lm.init_params(data, 2, last_seed, "random-rows")
         for got, want in zip(res.model.components, start.components):
             assert np.array_equal(got.mu, want.mu) and np.array_equal(got.sigma, want.sigma)
+
+    def test_step_at_the_cap_is_tested_for_convergence(self):
+        # This fit converges at its 36th step; a cap of 36 steps must report the same.
+        data, _ = lm.sample_mixture(reference_model(), 500, seed=91)
+        free = lm.em_fit(data, lm.FitConfig(s=2, n_restarts=1, seed=3, max_iter=500))
+        capped = lm.em_fit(data, lm.FitConfig(s=2, n_restarts=1, seed=3, max_iter=36))
+        assert free.converged and free.n_iter == 36
+        assert capped.converged and capped.n_iter == 36
+        assert np.array_equal(capped.loglik_trace, free.loglik_trace)
+        assert np.array_equal(capped.model._mu, free.model._mu)
+        assert np.array_equal(capped.model._sigma, free.model._sigma)
+        assert not lm.em_fit(data, lm.FitConfig(s=2, n_restarts=1, seed=3, max_iter=35)).converged
+
+    def test_starved_quantile_start_is_retried_from_random_rows(self, monkeypatch):
+        # Seven rows for five components: the quantile start starves a component.
+        attempts = []
+        em_single = estimation._em_single
+
+        def spy(data, config, seed, strategy, allow_degenerate):
+            outcome = em_single(data, config, seed, strategy, allow_degenerate)
+            attempts.append((strategy, outcome is None))
+            return outcome
+
+        monkeypatch.setattr(estimation, "_em_single", spy)
+        data = np.random.default_rng(1).normal(size=(7, 1))
+        res = lm.em_fit(data, lm.FitConfig(s=5, n_restarts=2, seed=0))
+        assert attempts[:2] == [("quantile", True), ("random-rows", False)]
+        assert len(attempts) == 3
+        assert np.isfinite(res.loglik_trace[-1])
+        assert np.isfinite(res.model._mu).all() and np.isfinite(res.model._sigma).all()
 
     def test_deterministic_given_seed(self):
         data, _ = lm.sample_mixture(reference_model(), 600, seed=39)

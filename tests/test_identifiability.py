@@ -680,6 +680,36 @@ class TestCdfGaps:
             assert (report["smallest_gap"], report["param_distance"]) == (gap, dist)
             assert report["witness_pair"] == [model_to_dict(m1), model_to_dict(m2)]
 
+    @pytest.mark.parametrize("p, s, shared_scale", [(1, 2, False), (2, 2, True)])
+    def test_trial_chunks_leave_the_report_unchanged(self, monkeypatch, p, s, shared_scale):
+        whole = lm.identifiability_trial(p, s, shared_scale, 5, 10)
+        # Chunks of 3, 3, 3 and 1 trials.
+        monkeypatch.setattr(identifiability, "GRAM_BLOCK_POINTS", 3 * s * 41**p)
+        assert lm.identifiability_trial(p, s, shared_scale, 5, 10) == whole
+
+    @pytest.mark.parametrize("seed", [2, 6])
+    def test_probe_chunks_leave_the_report_unchanged(self, monkeypatch, seed):
+        # With chunks of 3, 3, 3 and 1 trials, seed 2's best pair is trial 9, alone in the last
+        # chunk, and seed 6's is trial 3, in the second chunk, which one separation failure shortens.
+        whole = lm.probe_open_problem(2, 2, 10, seed)
+        monkeypatch.setattr(identifiability, "GRAM_BLOCK_POINTS", 3 * 2 * 41**2)
+        assert lm.probe_open_problem(2, 2, 10, seed) == whole
+
+    @pytest.mark.parametrize("harness, p, bound", [
+        (lambda: lm.identifiability_trial(1, 2, False, 5, 1000), 1, 1.0),
+        (lambda: lm.probe_open_problem(2, 2, 1000, 5), 2, 1.5),
+    ], ids=["trial", "probe"])
+    def test_harness_memory_is_bounded_by_the_chunks(self, monkeypatch, harness, p, bound):
+        # Chunks of 10 trials; holding all 1000 pairs traced 2.4 MiB (trial) and 2.3 MiB (probe).
+        monkeypatch.setattr(identifiability, "GRAM_BLOCK_POINTS", 10 * 2 * 41**p)
+        tracemalloc.start()
+        try:
+            harness()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 2**20
+
     @pytest.mark.parametrize("entry", [
         lambda: lm.probe_open_problem(p=5, s=2, n_trials=3, seed=0),
         lambda: lm.identifiability_trial(p=5, s=2, shared_scale=False, seed=0, n_trials=3),
