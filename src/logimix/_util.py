@@ -33,6 +33,11 @@ def rng_from_seed(seed):
     return np.random.Generator(np.random.Philox(_require_seed(seed)))
 
 
+def _child_seeds(sequence, n):
+    """One seed from each of the ``n`` next children of SeedSequence ``sequence``."""
+    return [int(child.generate_state(1, np.uint64)[0]) for child in sequence.spawn(n)]
+
+
 def spawn_seeds(seed, n):
     """Derive ``n`` independent child seeds from ``seed``, checked as ``rng_from_seed`` checks it.
 
@@ -40,8 +45,19 @@ def spawn_seeds(seed, n):
     of each other and of the parent, and the derivation is stable across runs
     and platforms.
     """
-    ss = np.random.SeedSequence(_require_seed(seed))
-    return [int(child.generate_state(1, np.uint64)[0]) for child in ss.spawn(n)]
+    return _child_seeds(np.random.SeedSequence(_require_seed(seed)), n)
+
+
+def spawn_seed_chunks(seed, n, size):
+    """``spawn_seeds(seed, n)`` as consecutive lists of at most ``size`` seeds each.
+
+    A list's seeds are spawned only when it is reached, so memory does not grow
+    with ``n``; ``SeedSequence.spawn`` continues from the children already
+    spawned, so the seeds are those of ``spawn_seeds``.  ``seed`` is checked
+    at the call.
+    """
+    sequence = np.random.SeedSequence(_require_seed(seed))
+    return (_child_seeds(sequence, min(size, n - lo)) for lo in range(0, n, size))
 
 
 def open_uniform(rng, size=None):

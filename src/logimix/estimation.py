@@ -10,9 +10,22 @@ objective, which keeps the observed log-likelihood monotone up to
 floating-point slack (generalized EM).
 
 One EM step (``_em_step``) is that M-step and then the E-step at its result.
-A run (``_em_single``) is the E-step of its start and then steps, each after
-the starvation rule, until one raises the log-likelihood by less than REL_TOL *
-max(1, |log-likelihood|) (converged) or max_iter steps are taken (not converged).
+A run (``_em_single``) is the E-step of its start and then SQUAREM cycles
+(Varadhan & Roland 2008, Scand. J. Stat.) of that step F on
+theta = (log weights, mu, log sigma).  A cycle takes two steps,
+theta1 = F(theta0) and theta2 = F(theta1), and extrapolates to
+theta0 - 2 alpha r + alpha^2 v, with r = theta1 - theta0,
+v = theta2 - 2 theta1 + theta0 and the SqS3 steplength alpha = -||r||/||v||
+capped at -1 (alpha = -1 is theta2 itself).  That point is built as a step
+builds its model and kept only if it is a valid model, its log-likelihood is
+finite and at least theta2's, and no component starves there; otherwise the
+cycle ends at theta2 (the monotone fallback).  Only steps count: the trace
+holds the start and one entry per step, and an extrapolation's E-step is
+neither a step nor an entry.  Every step follows the starvation rule, and the
+run stops once a step's entry exceeds the one before it by less than
+REL_TOL * max(1, |log-likelihood|) (converged), a rise that after a kept
+extrapolation includes the extrapolation's gain, or once max_iter steps are
+taken (not converged).
 """
 
 import warnings
@@ -59,7 +72,10 @@ NEWTON_GTOL = 1e-10
 
 @dataclass(frozen=True)
 class FitConfig:
-    """EM settings; the stopping rule REL_TOL and the M-step's limits are fixed."""
+    """EM settings; the stopping rule REL_TOL and the M-step's limits are fixed.
+
+    ``max_iter`` caps the EM steps of one run; SQUAREM's extrapolations are not steps.
+    """
 
     s: int
     max_iter: int = 500
@@ -336,29 +352,88 @@ def _em_step(coords, model, parts, resp, starved):
     return model, parts, resp, loglik
 
 
-def _em_single(data, config, seed, strategy, allow_degenerate):
-    """One EM run, (model, trace, converged); None once a component starves,
-    unless ``allow_degenerate``, which freezes starved components instead."""
-    model = init_params(data, config.s, seed, strategy)
-    coords = _coordinate_major(data)
+def _parts_e_step(coords, model):
+    """The components' ``_Parts`` at ``model`` and its E-step: (parts, resp, log-likelihood)."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         parts = [_component_parts(coords, m, sg) for m, sg in zip(model._mu, model._sigma)]
     resp, loglik, _ = _e_step(coords, model, [pt.log_pdf for pt in parts])
-    trace = [loglik]
-    for _ in range(config.max_iter):
+    return parts, resp, loglik
+
+
+def _theta(model):
+    """SQUAREM's coordinates of ``model``: its log weights, mu and log sigma in one vector."""
+    return np.concatenate([np.log(model.weights), model._mu.ravel(), np.log(model._sigma).ravel()])
+
+
+def _theta_model(theta, s, p):
+    """The model at finite ``theta``, built as ``_em_step`` builds one: the weights are the
+    softmax of the log weights, floored at WEIGHT_FLOOR and renormalised."""
+    log_w, mu, log_sigma = np.split(theta, [s, s + s * p])
+    weights = np.exp(log_w - log_w.max())
+    weights = np.maximum(weights / weights.sum(), WEIGHT_FLOOR)
+    with np.errstate(over="ignore"):
+        sigma = np.exp(log_sigma)
+    return _model(weights / weights.sum(), mu.reshape(s, p), sigma.reshape(s, p))
+
+
+def _steplength(r, v):
+    """SqS3 steplength -||r|| / ||v||, capped at -1."""
+    norm_v = np.sqrt(v @ v)
+    return min(-1.0, -np.sqrt(r @ r) / norm_v) if norm_v > 0.0 else -1.0
+
+
+def _extrapolate(coords, theta0, theta1, state):
+    """The state (model, parts, resp, log-likelihood) at the SQUAREM point of the cycle
+    ``theta0`` -> ``theta1`` -> ``state``, or ``state`` itself where that point is not kept."""
+    model, _, _, loglik = state
+    r, v = theta1 - theta0, _theta(model) - 2.0 * theta1 + theta0
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha = _steplength(r, v)
+        theta = theta0 - 2.0 * alpha * r + alpha * alpha * v
+    if alpha == -1.0 or not np.isfinite(theta).all():
+        return state
+    try:
+        cand = _theta_model(theta, model.s, model.p)
+    except ValueError:
+        return state
+    parts, resp, cand_loglik = _parts_e_step(coords, cand)
+    starved = resp.sum(axis=1) < DEGENERATE_RESP_TOTAL
+    if cand_loglik >= loglik and np.isfinite(cand_loglik) and not starved.any():
+        return cand, parts, resp, cand_loglik
+    return state
+
+
+def _em_single(data, config, seed, strategy, allow_degenerate):
+    """One EM run, (model, trace, converged); None once a component starves,
+    unless ``allow_degenerate``, which freezes starved components instead.
+
+    Every second step ends a SQUAREM cycle, which ``_extrapolate`` closes unless the cap is reached.
+    """
+    model = init_params(data, config.s, seed, strategy)
+    coords = _coordinate_major(data)
+    parts, resp, loglik = _parts_e_step(coords, model)
+    trace, thetas = [loglik], []
+    for it in range(config.max_iter):
         starved = resp.sum(axis=1) < DEGENERATE_RESP_TOTAL
         if starved.any() and not allow_degenerate:
             return None
+        thetas.append(_theta(model))
         model, parts, resp, loglik = _em_step(coords, model, parts, resp, starved)
         trace.append(loglik)
         if loglik - trace[-2] < REL_TOL * max(1.0, abs(loglik)):
             return model, np.asarray(trace), True
+        if len(thetas) == 2 and it + 1 < config.max_iter:
+            model, parts, resp, loglik = _extrapolate(coords, *thetas, (model, parts, resp, loglik))
+            thetas = []
     return model, np.asarray(trace), False
 
 
 def em_fit(data, config):
     """Fit a mixture by EM with several independent restarts.
 
+    Each restart is one SQUAREM-accelerated run (see the module docstring) of
+    at most ``config.max_iter`` EM steps; ``n_iter`` counts the steps of the
+    returned run, and ``loglik_trace`` holds its start and one entry per step.
     Returns the restart with the best final log-likelihood; ties closer than
     1e-12 go to the lowest restart index.
     """

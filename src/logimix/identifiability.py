@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import _require_counts, rng_from_seed, spawn_seeds
+from ._util import _require_counts, rng_from_seed, spawn_seed_chunks
 from .mixture import _model, model_to_dict
 from .mld import _cdf, _scalar_or_array, _stack_components
 
@@ -595,10 +595,10 @@ def identifiability_trial(p, s, shared_scale, seed, n_trials):
         return probe_open_problem(p, s, n_trials, seed)
     perm = np.roll(np.arange(s), 1)
     # Trials are drawn, evaluated and reduced in chunks of one _cdf_gaps block of pairs each.
-    seeds, chunk = spawn_seeds(seed, n_trials), max(1, GRAM_BLOCK_POINTS // (s * GRID_POINTS**p))
+    chunk = max(1, GRAM_BLOCK_POINTS // (s * GRID_POINTS**p))
     distinct_pass, permuted_pass, min_gap, max_permuted_gap = 0, 0, np.inf, -np.inf
-    for lo in range(0, n_trials, chunk):
-        pairs = [_random_model_pair(p, s, rng_from_seed(t), shared_scale) for t in seeds[lo:lo + chunk]]
+    for seeds in spawn_seed_chunks(seed, n_trials, chunk):
+        pairs = [_random_model_pair(p, s, rng_from_seed(t), shared_scale) for t in seeds]
         firsts = [m1 for m1, _ in pairs]
         permuted = [_model(m.weights[perm], m._mu[perm], m._sigma[perm]) for m in firsts]
         gaps = _cdf_gaps(_stacked(firsts), _stacked([m2 for _, m2 in pairs]))
@@ -658,11 +658,11 @@ def probe_open_problem(p, s, n_trials, seed):
     if p < 2:
         raise ValueError("the exploratory probe targets p >= 2")
     _require_grid_dimension(p)
-    seeds, chunk = spawn_seeds(seed, n_trials), max(1, GRAM_BLOCK_POINTS // (s * GRID_POINTS**p))
+    chunk = max(1, GRAM_BLOCK_POINTS // (s * GRID_POINTS**p))
     best = None
-    for lo in range(0, n_trials, chunk):
+    for lo, seeds in zip(range(0, n_trials, chunk), spawn_seed_chunks(seed, n_trials, chunk)):
         drawn = []
-        for t, trial_seed in enumerate(seeds[lo:lo + chunk], lo):
+        for t, trial_seed in enumerate(seeds, lo):
             rng = rng_from_seed(trial_seed)
             m1 = _random_model(p, s, rng, shared_scale=False)
             m2 = _random_model(p, s, rng, shared_scale=False) if t % 2 == 0 else _perturb_model(m1, rng)

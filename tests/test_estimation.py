@@ -6,6 +6,7 @@ import logimix as lm
 from logimix import estimation
 from logimix._util import rng_from_seed, spawn_seeds
 from logimix.estimation import _ascend, _component_parts, _newton_direction, _weighted_obj_derivs
+from logimix.mld import _coordinate_major
 
 from oracles import fd_log_pdf_gradients
 
@@ -386,16 +387,16 @@ class TestEmFit:
             assert np.array_equal(got.mu, want.mu) and np.array_equal(got.sigma, want.sigma)
 
     def test_step_at_the_cap_is_tested_for_convergence(self):
-        # This fit converges at its 36th step; a cap of 36 steps must report the same.
+        # This fit converges at its 16th step; a cap of 16 steps must report the same.
         data, _ = lm.sample_mixture(reference_model(), 500, seed=91)
         free = lm.em_fit(data, lm.FitConfig(s=2, n_restarts=1, seed=3, max_iter=500))
-        capped = lm.em_fit(data, lm.FitConfig(s=2, n_restarts=1, seed=3, max_iter=36))
-        assert free.converged and free.n_iter == 36
-        assert capped.converged and capped.n_iter == 36
+        capped = lm.em_fit(data, lm.FitConfig(s=2, n_restarts=1, seed=3, max_iter=16))
+        assert free.converged and free.n_iter == 16
+        assert capped.converged and capped.n_iter == 16
         assert np.array_equal(capped.loglik_trace, free.loglik_trace)
         assert np.array_equal(capped.model._mu, free.model._mu)
         assert np.array_equal(capped.model._sigma, free.model._sigma)
-        assert not lm.em_fit(data, lm.FitConfig(s=2, n_restarts=1, seed=3, max_iter=35)).converged
+        assert not lm.em_fit(data, lm.FitConfig(s=2, n_restarts=1, seed=3, max_iter=15)).converged
 
     def test_starved_quantile_start_is_retried_from_random_rows(self, monkeypatch):
         # Seven rows for five components: the quantile start starves a component.
@@ -410,8 +411,13 @@ class TestEmFit:
         monkeypatch.setattr(estimation, "_em_single", spy)
         data = np.random.default_rng(1).normal(size=(7, 1))
         res = lm.em_fit(data, lm.FitConfig(s=5, n_restarts=2, seed=0))
-        assert attempts[:2] == [("quantile", True), ("random-rows", False)]
-        assert len(attempts) == 3
+        # Restart 0: the quantile start and the first random-rows start starve, the second
+        # random-rows start does not; restart 1 starts from random rows and does not starve.
+        assert attempts == [
+            ("quantile", True), ("random-rows", True), ("random-rows", False), ("random-rows", False),
+        ]
+        # The sigma-collapse spike that plain EM ends at too.
+        assert res.loglik_trace[-1] == pytest.approx(2823.6020120932, rel=1e-12)
         assert np.isfinite(res.loglik_trace[-1])
         assert np.isfinite(res.model._mu).all() and np.isfinite(res.model._sigma).all()
 
@@ -422,6 +428,115 @@ class TestEmFit:
         assert np.array_equal(r1.loglik_trace, r2.loglik_trace)
         for a, b in zip(r1.model.components, r2.model.components):
             assert np.array_equal(a.mu, b.mu) and np.array_equal(a.sigma, b.sigma)
+
+
+def plain_em(data, config, seed, strategy):
+    """``estimation._em_single`` without extrapolation: the start's E-step, then
+    ``estimation._em_step`` until the stopping rule or the cap; None if a component starves."""
+    model = lm.init_params(data, config.s, seed, strategy)
+    coords = _coordinate_major(data)
+    parts, resp, loglik = estimation._parts_e_step(coords, model)
+    trace = [loglik]
+    for _ in range(config.max_iter):
+        starved = resp.sum(axis=1) < estimation.DEGENERATE_RESP_TOTAL
+        if starved.any():
+            return None
+        model, parts, resp, loglik = estimation._em_step(coords, model, parts, resp, starved)
+        trace.append(loglik)
+        if loglik - trace[-2] < estimation.REL_TOL * max(1.0, abs(loglik)):
+            return model, np.asarray(trace), True
+    return model, np.asarray(trace), False
+
+
+def squarem_inputs(p, s):
+    rng = np.random.default_rng(60 + 10 * p + s)
+    comps = tuple(lm.MldParams(rng.uniform(-2, 2, p), rng.uniform(0.5, 1.5, p)) for _ in range(s))
+    truth = lm.MixtureModel(rng.dirichlet(np.full(s, 4.0)), comps)
+    return lm.sample_mixture(truth, 400, seed=61)[0]
+
+
+SQUAREM_SHAPES = [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)]
+
+
+class TestSquarem:
+    @pytest.mark.parametrize("p, s", SQUAREM_SHAPES)
+    @pytest.mark.parametrize("steplength", [-1e300, -1e3], ids=["non-finite", "far"])
+    def test_overshooting_steplength_falls_back_to_plain_em(self, monkeypatch, p, s, steplength):
+        # Every extrapolated point is non-finite, or so far out that its log-likelihood is
+        # below the second step's, so each cycle ends at that step and the run is plain EM.
+        data = squarem_inputs(p, s)
+        config = lm.FitConfig(s=s, max_iter=60)
+        extrapolate = estimation._extrapolate
+        calls = []
+
+        def spy(coords, theta0, theta1, state):
+            out = extrapolate(coords, theta0, theta1, state)
+            calls.append(out is state)
+            return out
+
+        monkeypatch.setattr(estimation, "_steplength", lambda r, v: steplength)
+        monkeypatch.setattr(estimation, "_extrapolate", spy)
+        model, trace, converged = estimation._em_single(data, config, 0, "quantile", False)
+        want_model, want_trace, want_converged = plain_em(data, config, 0, "quantile")
+        assert calls and all(calls)
+        assert np.array_equal(trace, want_trace) and converged == want_converged
+        assert np.array_equal(model.weights, want_model.weights)
+        assert np.array_equal(model._mu, want_model._mu)
+        assert np.array_equal(model._sigma, want_model._sigma)
+
+    @pytest.mark.parametrize("p, s", SQUAREM_SHAPES)
+    @pytest.mark.parametrize("max_iter", [1, 2, 7, 60, 500])
+    def test_trace_holds_the_start_and_one_entry_per_step(self, p, s, max_iter):
+        data = squarem_inputs(p, s)
+        fit = lm.em_fit(data, lm.FitConfig(s=s, n_restarts=2, max_iter=max_iter, seed=p))
+        trace = fit.loglik_trace
+        assert len(trace) == fit.n_iter + 1 <= max_iter + 1
+        assert np.all(np.diff(trace) >= -1e-9)
+        # The stopping rule reads the trace: only a converged fit's last rise is below it.
+        small = np.diff(trace) < estimation.REL_TOL * np.maximum(1.0, np.abs(trace[1:]))
+        assert not small[:-1].any()
+        assert fit.converged == bool(small[-1])
+        assert fit.converged or fit.n_iter == max_iter
+        # No extrapolation follows the last step, so the last entry is the model's own.
+        assert trace[-1] == lm.log_likelihood(data, fit.model)
+
+    def test_extrapolation_that_starves_a_component_is_not_kept(self):
+        # Component 1 sits far from the data and its weight falls along the cycle; the
+        # extrapolated point raises the log-likelihood but starves it, so the cycle ends at theta2.
+        data = np.random.default_rng(62).logistic(size=(300, 1))
+        coords = _coordinate_major(data)
+        model0, model1, model2 = (
+            lm.MixtureModel([1.0 - w, w], (lm.MldParams([0.0], [1.0]), lm.MldParams([50.0], [1.0])))
+            for w in (np.exp(-1.0), np.exp(-10.0), np.exp(-15.0))
+        )
+        theta0, theta1 = estimation._theta(model0), estimation._theta(model1)
+        state = (model2,) + estimation._parts_e_step(coords, model2)
+        r, v = theta1 - theta0, estimation._theta(model2) - 2.0 * theta1 + theta0
+        alpha = estimation._steplength(r, v)
+        cand = estimation._theta_model(theta0 - 2.0 * alpha * r + alpha * alpha * v, 2, 1)
+        _, cand_resp, cand_loglik = estimation._parts_e_step(coords, cand)
+        assert alpha < -1.0 and cand_loglik >= state[3]
+        assert cand_resp[1].sum() < estimation.DEGENERATE_RESP_TOTAL
+        assert estimation._extrapolate(coords, theta0, theta1, state) is state
+
+    @pytest.mark.parametrize("p, s", SQUAREM_SHAPES)
+    @pytest.mark.parametrize("max_iter", [20, 60])
+    def test_ends_no_lower_than_plain_em(self, p, s, max_iter):
+        data = squarem_inputs(p, s)
+        config = lm.FitConfig(s=s, max_iter=max_iter)
+        _, trace, _ = estimation._em_single(data, config, 0, "quantile", False)
+        _, plain_trace, _ = plain_em(data, config, 0, "quantile")
+        assert trace[-1] >= plain_trace[-1]
+
+    @pytest.mark.parametrize("p, s", SQUAREM_SHAPES)
+    def test_deterministic_given_seed(self, p, s):
+        data = squarem_inputs(p, s)
+        config = lm.FitConfig(s=s, n_restarts=3, max_iter=60, seed=11)
+        r1, r2 = lm.em_fit(data, config), lm.em_fit(data, config)
+        assert np.array_equal(r1.loglik_trace, r2.loglik_trace) and r1.converged == r2.converged
+        assert np.array_equal(r1.model.weights, r2.model.weights)
+        assert np.array_equal(r1.model._mu, r2.model._mu)
+        assert np.array_equal(r1.model._sigma, r2.model._sigma)
 
 
 class TestFitResultInvariant:

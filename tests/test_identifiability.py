@@ -8,7 +8,7 @@ from scipy.special import expit, roots_legendre
 
 import logimix as lm
 from logimix import identifiability
-from logimix._util import rng_from_seed, spawn_seeds
+from logimix._util import rng_from_seed, spawn_seed_chunks, spawn_seeds
 from logimix.identifiability import _param_distance_matrix
 from logimix.mixture import model_from_dict, model_to_dict
 from logimix.mld import _cdf, _stack_components
@@ -709,6 +709,41 @@ class TestCdfGaps:
         finally:
             tracemalloc.stop()
         assert peak <= bound * 2**20
+
+    @pytest.mark.parametrize("n, size", [(1, 1), (1, 5), (10, 3), (12, 4), (77, 10), (5, 77)])
+    def test_seed_chunks_are_the_spawned_seeds(self, n, size):
+        chunks = list(spawn_seed_chunks(5, n, size))
+        assert [len(c) for c in chunks] == [min(size, n - lo) for lo in range(0, n, size)]
+        assert [t for c in chunks for t in c] == spawn_seeds(5, n)
+
+    @pytest.mark.parametrize("harness, p", [
+        (lambda n: lm.identifiability_trial(1, 2, False, 5, n), 1),
+        (lambda n: lm.probe_open_problem(2, 2, n, 5), 2),
+    ], ids=["trial", "probe"])
+    def test_harness_memory_does_not_grow_with_the_trials(self, monkeypatch, harness, p):
+        # Chunks of 10 trials.  The traced peak up to the first chunk's kernel call is the same
+        # for 10 and 5 000 trials; spawning every trial's seed before the first chunk raised it
+        # by 1.9 MiB (trial) and 1.8 MiB (probe).  Later chunks repeat the first, and the test
+        # above bounds a whole run by the chunks.
+        class FirstChunk(Exception):
+            pass
+
+        def first_chunk(*args):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            raise FirstChunk
+
+        monkeypatch.setattr(identifiability, "GRAM_BLOCK_POINTS", 10 * 2 * 41**p)
+        monkeypatch.setattr(identifiability, "_cdf_gaps", first_chunk)
+        peaks = []
+        for n, traced in ((10, False), (10, True), (5000, True)):
+            if traced:
+                tracemalloc.start()
+            try:
+                with pytest.raises(FirstChunk):
+                    harness(n)
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] <= peaks[1] + 2**10
 
     @pytest.mark.parametrize("entry", [
         lambda: lm.probe_open_problem(p=5, s=2, n_trials=3, seed=0),
