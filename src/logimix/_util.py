@@ -70,6 +70,28 @@ def open_uniform(rng, size=None):
     return (k.astype(np.float64) + 0.5) * 2.0**-53
 
 
+_MINUS_MAX_FLOAT = -np.finfo(float).max
+
+
+def log_sum_exp(a):
+    """log(sum_k exp(a[k, ...])) over the leading axis, with the terms it sums.
+
+    ``a`` has shape (s, ...).  Returns ``(lse, terms, total)``: with m the
+    maximum over the leading axis, ``terms`` = exp(a - m) has shape (s, ...),
+    ``total`` is their sum and ``lse`` = m + log(total), shape (...).  The sum
+    runs as s - 1 elementwise passes, left to right, whatever the shape, so
+    the whole is one exp and one log per value.  A position where every a_k
+    is -inf is shifted by -max float instead of m, so it gives terms and
+    total 0 and lse -inf; the log of that 0 raises numpy's divide-by-zero
+    flag, which callers that meet such positions silence.  With s = 1, lse is
+    a[0].
+    """
+    m = a.max(axis=0, initial=_MINUS_MAX_FLOAT)
+    terms = np.exp(a - m)
+    total = reduce(np.add, terms)
+    return m + np.log(total), terms, total
+
+
 def log1p_sum_exp_neg(z):
     """log(1 + sum_k exp(-z[k, ...])) over the leading axis, without overflow.
 

@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._util import _require_counts, rng_from_seed, spawn_seeds
+from ._util import _require_counts, log_sum_exp, rng_from_seed, spawn_seeds
 from .mixture import MixtureModel, WEIGHT_FLOOR, _model, _weighted_log_pdfs, as_dataset
 from .mld import _as_points, _coordinate_major, _log_pdf_parts
 
@@ -175,23 +175,23 @@ def _weighted_obj_derivs(resp, parts):
     with dz_k/dmu_k = -1/sigma_k, dz_k/dlog sigma_k = -z_k,
     d2z_k/dmu_k dlog sigma_k = 1/sigma_k and d2z_k/dlog sigma_k^2 = z_k.
     J' H_z J is (p+1)(u u' - J' diag(w) J) with u = -J' w.  w, z and z w are
-    (p, n) arrays and sqrt(r) u is one (2p, n) array, so the weighted sums of
-    u u' go through one (2p, n) x (n, 2p) product and the diagonal terms
-    through (p, n) x (n,) products; no per-row 2p x 2p array is formed.
-    u u' is exactly symmetric (numpy computes a product with its own
-    transpose through syrk), so each cross correction is subtracted from both
-    off-diagonal blocks in one scatter.
+    (p, n) arrays and u is the stacked (2p, n) [w / sigma; z w] up to sign,
+    so the weighted sum of u u' is one (2p, n) x (n, 2p) product,
+    (stacked * r) @ stacked', and the diagonal terms are (p, n) x (n,)
+    products; no per-row 2p x 2p array is formed.  That product is symmetric
+    only up to rounding; ``_newton_direction`` reads the upper triangle
+    alone, and each cross correction is subtracted from both off-diagonal
+    blocks in one scatter.
     """
     sigma, log_pdf, z, w, zw, zzw, stacked = parts
     p = sigma.size
     total = resp.sum()
     obj = float(np.dot(resp, log_pdf)) / total
-    u = np.sqrt(resp) * stacked
     rw, rzw, rz, rzzw = w @ resp, zw @ resp, z @ resp, zzw @ resp
     rg = (p + 1) * rw - total  # sum_i r_i g_ik
     rzg = (p + 1) * rzw - rz  # sum_i r_i z_ik g_ik
     grad = -np.concatenate([rg / sigma, rzg + total]) / total
-    hess = (p + 1) * (u @ u.T)
+    hess = (p + 1) * ((stacked * resp) @ stacked.T)
     cross = ((p + 1) * rzw - rg) / sigma
     hess[_correction_index(p)] -= np.concatenate(
         [(p + 1) * rw / sigma**2, cross, (p + 1) * rzzw - rzg, cross]
@@ -212,7 +212,8 @@ def _newton_direction(grad, hess):
     first of 0, LEVENBERG_SEED, 2 LEVENBERG_SEED, ... that gives a factor.
 
     LAPACK's potrf/potrs are called directly, on the upper triangle, as
-    ``scipy.linalg.cho_factor``/``cho_solve`` call them; a positive ``info``
+    ``scipy.linalg.cho_factor``/``cho_solve`` call them, so the lower triangle
+    of ``hess`` is never read; a positive ``info``
     from potrf means the shifted matrix is not positive definite.  A
     non-finite Hessian counts as zero, so the shift alone sets a scaled
     gradient step; if no finite shift works the direction is zero.
@@ -317,18 +318,21 @@ def _e_step(data, model, log_pdfs=None):
 
     ``data`` is coordinate-major, shape (p, ...), and the responsibilities
     are component-major, shape (s, ...), like ``_weighted_log_pdfs``, which
-    also takes ``log_pdfs``.  A row at which every component density
-    underflows to zero gets uniform responsibilities and adds -1e300 to the
-    log-likelihood, which keeps EM traces finite and comparable.
+    also takes ``log_pdfs``.  A row's log-likelihood is ``log_sum_exp`` of its
+    weighted log densities, as in ``mixture_log_pdf``, and its
+    responsibilities are that kernel's shifted exponentials divided by their
+    sum, so no second exponential is taken.  A row at which every component
+    density underflows to zero gets uniform responsibilities and adds -1e300
+    to the log-likelihood, which keeps EM traces finite and comparable.
     """
-    with np.errstate(over="ignore"):
-        lp = _weighted_log_pdfs(data, model, log_pdfs)
-    row_ll = np.logaddexp.reduce(lp, axis=0)
+    with np.errstate(over="ignore", divide="ignore"):
+        row_ll, resp, total = log_sum_exp(_weighted_log_pdfs(data, model, log_pdfs))
     bad = ~np.isfinite(row_ll)
     if bad.any():
-        lp[:, bad] = -np.log(model.s)
+        resp[:, bad] = np.exp(-np.log(model.s))
+        total[bad] = 1.0
         row_ll[bad] = -1e300
-    resp = np.exp(lp - np.where(bad, 0.0, row_ll))
+    resp /= total
     return resp, float(row_ll.sum()), int(bad.sum())
 
 
@@ -345,9 +349,9 @@ def _em_step(coords, model, parts, resp, starved):
         start = parts[i] if (np.exp(log_sigma) == sigma[i]).all() else None
         mu[i], _, parts[i] = _ascend(coords, resp[i], mu[i], log_sigma, parts=start)
         sigma[i] = parts[i].sigma
-    weights = np.maximum(resp.sum(axis=1) / coords.shape[1], WEIGHT_FLOOR)
+    weights = resp.sum(axis=1) / coords.shape[1]
     # MixtureModel renormalises the weights again; fits depend on that rounding.
-    model = _model(weights / weights.sum(), mu, sigma)
+    model = _model(np.maximum(weights / weights.sum(), WEIGHT_FLOOR), mu, sigma)
     resp, loglik, _ = _e_step(coords, model, [pt.log_pdf for pt in parts])
     return model, parts, resp, loglik
 
@@ -367,13 +371,16 @@ def _theta(model):
 
 def _theta_model(theta, s, p):
     """The model at finite ``theta``, built as ``_em_step`` builds one: the weights are the
-    softmax of the log weights, floored at WEIGHT_FLOOR and renormalised."""
+    softmax of the log weights, renormalised and floored at WEIGHT_FLOOR."""
     log_w, mu, log_sigma = np.split(theta, [s, s + s * p])
     weights = np.exp(log_w - log_w.max())
+    # Divided by the sum twice here and once more by MixtureModel: extrapolated fits depend on
+    # that rounding, so none of the three divisions is redundant.
+    weights = weights / weights.sum()
     weights = np.maximum(weights / weights.sum(), WEIGHT_FLOOR)
     with np.errstate(over="ignore"):
         sigma = np.exp(log_sigma)
-    return _model(weights / weights.sum(), mu.reshape(s, p), sigma.reshape(s, p))
+    return _model(weights, mu.reshape(s, p), sigma.reshape(s, p))
 
 
 def _steplength(r, v):

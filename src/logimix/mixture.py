@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from ._util import (
-    _require_counts, open_uniform, rng_from_seed, spawn_seeds, write_text_atomic,
+    _require_counts, log_sum_exp, open_uniform, rng_from_seed, spawn_seeds, write_text_atomic,
     write_texts_atomic,
 )
 from .mld import (
@@ -79,7 +79,8 @@ def _fill(model, weights, mu, sigma):
     total = w.sum()
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise ValueError("weights sum to %.17g, not 1" % total)
-    w = w / total
+    # Floored after the division, so that every stored weight passes this check again.
+    w = np.maximum(w / total, WEIGHT_FLOOR)
     w.setflags(write=False)
     vars(model).update(weights=w, _mu=mu, _sigma=sigma)  # past the frozen __setattr__
     return model
@@ -115,10 +116,10 @@ def _weighted_log_pdfs(x, model, log_pdfs=None):
     """log pi_i + log l_i(x) for validated coordinate-major points x (p, ...).
 
     The result is component-major, shape (s, ...).  ``mixture_log_pdf`` and
-    the EM E-step both reduce it over its leading axis, one elementwise
-    ``logaddexp`` pass per further component, so the public log-likelihood
-    and the EM trace are one computation.  ``log_pdfs``, when given, are the
-    components' log densities at x, which EM keeps from its M-step.
+    the EM E-step both reduce it over its leading axis with ``log_sum_exp``,
+    so the public log-likelihood and the EM trace are one computation.
+    ``log_pdfs``, when given, are the components' log densities at x, which
+    EM keeps from its M-step.
     """
     if log_pdfs is None:
         log_pdfs = (_log_pdf_parts(x, mu, sigma)[0] for mu, sigma in zip(model._mu, model._sigma))
@@ -128,7 +129,9 @@ def _weighted_log_pdfs(x, model, log_pdfs=None):
 def mixture_log_pdf(x, model):
     """log sum_i pi_i l_i(x), via log-sum-exp over components."""
     x = _coordinate_major(_as_points(x, model.p))
-    return _scalar_or_array(np.logaddexp.reduce(_weighted_log_pdfs(x, model), axis=0))
+    lp = _weighted_log_pdfs(x, model)
+    with np.errstate(divide="ignore"):  # a point where every log density is -inf
+        return _scalar_or_array(log_sum_exp(lp)[0])
 
 
 def mixture_pdf(x, model):

@@ -132,13 +132,26 @@ def _log_pdf_parts(x, mu, sigma):
     the (p, ...) standardized residuals z and the (...) log(1 + sum_k
     exp(-z_k)), from which the M-step's derivatives are built.  The sum of z
     runs over the leading axis left to right, as ``log1p_sum_exp_neg`` does.
+
+    Far left of the mode, near z_k = -1e308, sum_k z_k and (p + 1) log_denom
+    overflow and their difference is not finite.  Only when numpy flags an
+    overflow or an invalid value is the density recomputed, and only where it
+    is not finite, as -sum_k (z_k + log_denom) - log_denom, whose terms stay
+    small; flagging costs no pass over the points.
     """
     p = x.shape[0]
     shape = (p,) + (1,) * (x.ndim - 1)
     z = (x - mu.reshape(shape)) / sigma.reshape(shape)
     log_denom = log1p_sum_exp_neg(z)
-    log_pdf = lgamma(p + 1) - reduce(np.add, z) - (p + 1) * log_denom - np.log(sigma).sum()
-    return log_pdf, z, log_denom
+    log_sigma = np.log(sigma).sum()
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return lgamma(p + 1) - reduce(np.add, z) - (p + 1) * log_denom - log_sigma, z, log_denom
+    except FloatingPointError:
+        with np.errstate(over="ignore", invalid="ignore"):
+            direct = lgamma(p + 1) - reduce(np.add, z) - (p + 1) * log_denom - log_sigma
+            tail = lgamma(p + 1) - reduce(np.add, z + log_denom) - log_denom - log_sigma
+        return np.where(np.isfinite(direct), direct, tail), z, log_denom
 
 
 def _cdf(coords, mu, sigma):

@@ -6,6 +6,7 @@ import logimix as lm
 from logimix import estimation
 from logimix._util import rng_from_seed, spawn_seeds
 from logimix.estimation import _ascend, _component_parts, _newton_direction, _weighted_obj_derivs
+from logimix.mixture import WEIGHT_FLOOR, _model
 from logimix.mld import _coordinate_major
 
 from oracles import fd_log_pdf_gradients
@@ -386,6 +387,25 @@ class TestEmFit:
         for got, want in zip(res.model.components, start.components):
             assert np.array_equal(got.mu, want.mu) and np.array_equal(got.sigma, want.sigma)
 
+    def test_frozen_component_keeps_a_floored_weight_that_round_trips(self, tmp_path):
+        # Component 1's responsibility total is 6.6e-34, so it is frozen and its weight
+        # floored; a division after the floor used to push it under WEIGHT_FLOOR again.
+        coords = _coordinate_major(np.random.default_rng(62).logistic(size=(300, 1)))
+        model = _model([0.999, 0.001], [[0.0], [80.0]], 1.0)
+        parts, resp, _ = estimation._parts_e_step(coords, model)
+        starved = resp.sum(axis=1) < estimation.DEGENERATE_RESP_TOTAL
+        assert starved.tolist() == [False, True]
+        stepped = estimation._em_step(coords, model, parts, resp, starved)[0]
+        assert stepped.weights[1] == WEIGHT_FLOOR
+        lm.save_model(stepped, tmp_path / "model.json")
+        loaded = lm.load_model(tmp_path / "model.json")
+        assert (loaded.weights >= WEIGHT_FLOOR).all()
+        np.testing.assert_allclose(loaded.weights, stepped.weights, rtol=1e-15, atol=0.0)
+
+    def test_extrapolated_weight_below_the_floor_is_floored(self):
+        cand = estimation._theta_model(np.array([0.0, -80.0, 0.0, 5.0, 0.0, 0.0]), 2, 1)
+        assert cand.weights[1] == WEIGHT_FLOOR
+
     def test_step_at_the_cap_is_tested_for_convergence(self):
         # This fit converges at its 16th step; a cap of 16 steps must report the same.
         data, _ = lm.sample_mixture(reference_model(), 500, seed=91)
@@ -417,7 +437,7 @@ class TestEmFit:
             ("quantile", True), ("random-rows", True), ("random-rows", False), ("random-rows", False),
         ]
         # The sigma-collapse spike that plain EM ends at too.
-        assert res.loglik_trace[-1] == pytest.approx(2823.6020120932, rel=1e-12)
+        assert res.loglik_trace[-1] == pytest.approx(2825.0489014315, rel=1e-12)
         assert np.isfinite(res.loglik_trace[-1])
         assert np.isfinite(res.model._mu).all() and np.isfinite(res.model._sigma).all()
 

@@ -1,13 +1,16 @@
 import dataclasses
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 import logimix as lm
 from logimix import mixture
-from logimix._util import write_texts_atomic
+from logimix._util import log_sum_exp, write_texts_atomic
+from logimix.estimation import _e_step
+from logimix.mld import _coordinate_major
 from logimix.mixture import _model
 
 from oracles import quad_normalization_1d, quad_normalization_2d
@@ -201,6 +204,66 @@ class TestEvaluation:
         sig2 = np.max([c.sigma for c in m2.components], axis=0) + np.ptp([c.mu for c in m2.components], axis=0)
         val2 = quad_normalization_2d(lambda t: lm.mixture_pdf(t, m2), mu2, sig2)
         assert val2 == pytest.approx(1.0, abs=1e-6)
+
+
+def _log_sum_exp_cases(s, rng):
+    """(s, n) columns: moderate values, values at +-1e300 and columns holding -inf."""
+    moderate = rng.normal(size=(s, 400)) * rng.choice([1e-3, 1.0, 30.0, 800.0], size=400)
+    huge = rng.choice([-1.0, 1.0], size=(s, 1)) * 1e300 + rng.normal(size=(s, 50))
+    mixed = rng.normal(size=(s, 50)) * 10.0
+    minus_inf = rng.random((s, 50)) < 0.5
+    minus_inf[rng.integers(s, size=50), np.arange(50)] = False  # one finite entry per column
+    mixed[minus_inf] = -np.inf
+    return np.concatenate([moderate, huge, mixed], axis=1)
+
+
+class TestLogSumExp:
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_matches_logaddexp_reduce(self, s):
+        a = _log_sum_exp_cases(s, np.random.default_rng(80 + s))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, terms, total = log_sum_exp(a)
+        want = np.logaddexp.reduce(a, axis=0)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+        assert np.array_equal(total, terms.sum(axis=0)) and terms.shape == a.shape
+        if s == 1:
+            assert np.array_equal(got, a[0])
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_all_minus_inf_columns_give_minus_inf(self, s):
+        a = np.full((s, 3), -np.inf)
+        a[:, 1] = 0.5
+        with np.errstate(divide="ignore"):  # the log of a zero total; callers silence it
+            got, terms, total = log_sum_exp(a)
+        assert got[0] == got[2] == -np.inf and np.isfinite(got[1])
+        assert total[0] == total[2] == 0.0 and not terms[:, [0, 2]].any()
+
+    def test_all_underflow_points_add_no_warning(self):
+        # The residuals overflow, with numpy's own warning, and every component log density is -inf.
+        tiny = lm.MixtureModel([0.5, 0.5], (lm.MldParams([0.0], [1e-300]), lm.MldParams([1.0], [1e-300])))
+        for func, want in [(lm.mixture_log_pdf, -np.inf), (lm.responsibilities, [0.5, 0.5])]:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert np.array_equal(func(np.array([1e300]), tiny), want)
+            assert all("divide by zero" not in str(w.message) for w in caught)
+
+    @pytest.mark.parametrize("p, s", [(1, 1), (1, 2), (2, 3), (3, 4)])
+    def test_e_step_responsibilities_sum_to_one(self, p, s):
+        rng = np.random.default_rng(90 + 10 * p + s)
+        model = random_model(rng, p, s)
+        data, _ = lm.sample_mixture(model, 2000, seed=5)
+        data = np.concatenate([data, rng.uniform(-60.0, 60.0, size=(200, p))])
+        resp, _, n_underflow = _e_step(_coordinate_major(data), model)
+        assert n_underflow == 0
+        assert np.all(np.abs(resp.sum(axis=0) - 1.0) <= s * np.finfo(float).eps)
+
+    def test_responsibilities_sum_to_one_where_log_weights_are_below_rounding(self):
+        # Both weighted log densities round to -5e299, where log 0.5 is far below one ulp.
+        tiny = lm.MixtureModel([0.5, 0.5], (lm.MldParams([0.0], [1e-300]), lm.MldParams([1.0], [1e-300])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lm.responsibilities(np.array([0.5]), tiny).tolist() == [0.5, 0.5]
 
 
 class TestLogLikelihood:

@@ -1,13 +1,16 @@
 import warnings
+from functools import reduce
+from math import lgamma
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.stats import ks_2samp, kstest
 
 import logimix as lm
 from logimix._util import log1p_sum_exp_neg
+from logimix.mld import _log_pdf_parts
 
 from oracles import (
     decimal_mld_cdf,
@@ -234,6 +237,60 @@ class TestLogPdfAccuracy:
             # log density's absolute error grows with sum_k |z_k|.
             bound = 1e-12 * (1.0 + np.sum(np.abs((x[idx] - mu) / sigma)))
             assert abs(got[idx] - exact) <= bound
+
+
+def _direct_log_pdf(x, mu, sigma):
+    """The log density as lgamma(p+1) - sum_k z_k - (p+1) log_denom - sum_k log sigma_k
+    alone, for coordinate-major x (p, ...), with overflow left unchecked."""
+    p = x.shape[0]
+    shape = (p,) + (1,) * (x.ndim - 1)
+    z = (x - mu.reshape(shape)) / sigma.reshape(shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return lgamma(p + 1) - reduce(np.add, z) - (p + 1) * log1p_sum_exp_neg(z) - np.log(sigma).sum()
+
+
+@st.composite
+def _extreme_log_pdf_cases(draw):
+    p = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    big = st.one_of(
+        st.floats(-1e308, 1e308),
+        st.sampled_from([-1e308, -5e307, -3e307, -1e300, 1e300, 1e308]),
+        st.floats(-50.0, 50.0),
+    )
+    x = draw(hnp.arrays(np.float64, (p, n), elements=big))
+    mu = draw(hnp.arrays(np.float64, p, elements=st.floats(-10.0, 10.0)))
+    sigma = draw(hnp.arrays(np.float64, p, elements=st.floats(0.5, 4.0)))
+    return x, mu, sigma
+
+
+class TestFarLeftLogPdf:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_extreme_log_pdf_cases())
+    def test_finite_values_of_the_direct_formula_are_kept_bit_for_bit(self, case):
+        x, mu, sigma = case
+        with np.errstate(over="ignore"):
+            z = (x - mu[:, None]) / sigma[:, None]
+        assume(np.isfinite(z).all())
+        # Past this spread the shift in log1p_sum_exp_neg itself overflows, a separate case.
+        assume(np.all(z.max(axis=0) <= np.finfo(float).max + np.minimum(z.min(axis=0), 0.0)))
+        want = _direct_log_pdf(x, mu, sigma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _log_pdf_parts(x, mu, sigma)[0]
+        kept = np.isfinite(want)
+        assert np.array_equal(got[kept], want[kept])
+        assert not np.isnan(got).any()
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_far_left_point_is_finite_and_silent(self, p):
+        params = lm.MldParams(np.zeros(p), np.ones(p))
+        model = lm.MixtureModel([0.4, 0.6], (params, lm.MldParams(np.ones(p), np.full(p, 2.0))))
+        x = np.full(p, -1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lm.mld_log_pdf(x, params) == pytest.approx(-1e308, rel=1e-15)
+            assert np.isfinite(lm.mixture_log_pdf(x, model))
 
 
 class TestMarginals:

@@ -13,10 +13,14 @@ in each checkout,
 
     python3 tools/em_counts.py --seed 1 > counts-seed1.txt
 
-and comparing the two files with ``diff``.  It prints one line per workload,
-then the same counts as one JSON object.  ``--size smoke`` runs the
-benchmark's small inputs.  The exit status is 1 if a command exited with
-anything but 0 (success) or 2 (outputs written, numerical flag), else 0.
+and comparing the two files with ``diff``.  It prints one line of counts per
+workload, each followed by one line per fit command of that workload:
+workload, command index, p, s, exit code, ``n_iter`` and the final
+log-likelihood as its ``repr``, read from the command's report, so the same
+``diff`` also shows whether every fit ended the same way.  Last comes one
+JSON object with the counts.  ``--size smoke`` runs the benchmark's small
+inputs.  The exit status is 1 if a command exited with anything but 0
+(success) or 2 (outputs written, numerical flag), else 0.
 Nothing under ``perfbench/`` is changed; the inputs and outputs live in a
 temporary directory that is removed afterwards.
 """
@@ -53,8 +57,18 @@ def counting(counts):
     return originals
 
 
+def fit_line(name, index, cmd, code):
+    """The line of fit command ``cmd``, which exited with ``code``."""
+    head = "%s %d p=%d s=%d exit=%s" % (name, index, cmd.facts["p"], cmd.args["s"], code)
+    if not os.path.exists(cmd.args["report"]):
+        return head + " report=missing"
+    with open(cmd.args["report"]) as fh:
+        report = json.load(fh)
+    return head + " n_iter=%d loglik=%r" % (report["n_iter"], report["loglik_trace"][-1])
+
+
 def workload_counts(name, seed, size, directory):
-    """(counts, ok) of one cycle of workload ``name``'s commands."""
+    """(counts, fit lines, ok) of one cycle of workload ``name``'s commands."""
     workload = WORKLOADS[name](seed, size, directory)
     workload.setup()
     counts = collections.Counter()
@@ -64,7 +78,10 @@ def workload_counts(name, seed, size, directory):
     finally:
         for func_name, func in originals.items():
             setattr(estimation, func_name, func)
-    return {func_name: counts[func_name] for func_name in COUNTED}, all(c in (0, 2) for c in codes)
+    fits = [fit_line(name, index, cmd, code)
+            for index, (cmd, code) in enumerate(zip(workload.cmds, codes)) if cmd.kind == "fit"]
+    ok = all(c in (0, 2) for c in codes)
+    return {func_name: counts[func_name] for func_name in COUNTED}, fits, ok
 
 
 def main(argv=None):
@@ -78,9 +95,10 @@ def main(argv=None):
         for name in ("fit-ref", "fit-batch"):
             directory = os.path.join(workdir, name)
             os.makedirs(directory)
-            report[name], name_ok = workload_counts(name, args.seed, args.size, directory)
+            report[name], fits, name_ok = workload_counts(name, args.seed, args.size, directory)
             ok = ok and name_ok
-            print(name, " ".join("%s=%d" % item for item in report[name].items()), flush=True)
+            counts = " ".join("%s=%d" % item for item in report[name].items())
+            print("\n".join([name + " " + counts] + fits), flush=True)
     print(json.dumps({"seed": args.seed, "size": args.size, "counts": report}, sort_keys=True))
     return 0 if ok else 1
 
