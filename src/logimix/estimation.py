@@ -4,7 +4,9 @@ There is no closed-form M-step for logistic components, so each M-step runs a
 few damped Newton steps per component in (mu, log sigma), on the analytic
 gradient and Hessian of the responsibility-weighted log density.  A Levenberg
 shift is added whenever the negated Hessian is not positive definite, and a
-backtracking line search accepts a step only if it improves the objective.
+backtracking line search accepts a step only if it improves the objective and
+keeps every scale at least SCALE_FLOOR * m_k (``_moment_scale``), a floor that
+bounds the likelihood as in Hathaway's constrained MLE (1985, Ann. Stat.).
 Every accepted inner step therefore improves the expected complete-data
 objective, which keeps the observed log-likelihood monotone up to
 floating-point slack (generalized EM).
@@ -17,15 +19,14 @@ theta1 = F(theta0) and theta2 = F(theta1), and extrapolates to
 theta0 - 2 alpha r + alpha^2 v, with r = theta1 - theta0,
 v = theta2 - 2 theta1 + theta0 and the SqS3 steplength alpha = -||r||/||v||
 capped at -1 (alpha = -1 is theta2 itself).  That point is built as a step
-builds its model and kept only if it is a valid model, its log-likelihood is
-finite and at least theta2's, and no component starves there; otherwise the
-cycle ends at theta2 (the monotone fallback).  Only steps count: the trace
-holds the start and one entry per step, and an extrapolation's E-step is
-neither a step nor an entry.  Every step follows the starvation rule, and the
-run stops once a step's entry exceeds the one before it by less than
-REL_TOL * max(1, |log-likelihood|) (converged), a rise that after a kept
-extrapolation includes the extrapolation's gain, or once max_iter steps are
-taken (not converged).
+builds its model and kept only if it is a valid model above the scale floor
+and its log-likelihood is finite and at least theta2's; otherwise the cycle
+ends at theta2 (the monotone fallback).  Only steps count: the trace holds
+the start and one entry per step, and an extrapolation's E-step is neither a
+step nor an entry.  The run stops once a step's entry exceeds the one before
+it by less than REL_TOL * max(1, |log-likelihood|) (converged), a rise that
+after a kept extrapolation includes the extrapolation's gain, or once
+max_iter steps are taken (not converged).
 """
 
 import warnings
@@ -45,14 +46,15 @@ INIT_STRATEGIES = ("quantile", "random-rows")
 # fraction of max(1, |log-likelihood|).
 REL_TOL = 1e-8
 
-# A component whose total responsibility falls below this is considered
-# starved; the whole initialization is retried with a fresh seed.
-DEGENERATE_RESP_TOTAL = 1e-8
-MAX_REINIT_ATTEMPTS = 3
-
 # Standard deviation of the unit-scale logistic law is pi/sqrt(3); the moment
 # rule for initial scales inverts that.
 LOGISTIC_SD_FACTOR = np.sqrt(3.0) / np.pi
+
+# Every fitted sigma_ik is at least SCALE_FLOOR * m_k, m_k the moment-rule scale of
+# coordinate k.  The value is the moment rule's own absolute clamp, taken relative to
+# the data: at the floor a row adds about p log(1e6) = 13.8 p nats over the start,
+# while every fit-ref and fit-batch fit (seeds 1, 3, 5) ends above 0.34 m_k.
+SCALE_FLOOR = 1e-6
 
 # First nonzero Levenberg shift of the Newton M-step; it is doubled until the
 # shifted matrix is positive definite.
@@ -60,7 +62,7 @@ LEVENBERG_SEED = 1e-8
 
 # Most Newton steps per component in one M-step.  The predicted-gain rule in
 # `_ascend` ends almost every ascent first; the cap binds only while a scale
-# collapses towards zero on degenerate data.
+# closes in on the scale floor on degenerate data.
 MAX_NEWTON_STEPS = 50
 
 # An ascent whose gradient norm is below this stops before the Cholesky solve.
@@ -231,7 +233,7 @@ def _newton_direction(grad, hess):
     return np.zeros_like(grad)
 
 
-def _ascend(data, resp, mu, log_sigma, iters=MAX_NEWTON_STEPS, parts=None):
+def _ascend(data, resp, mu, log_sigma, floor, iters=MAX_NEWTON_STEPS, parts=None):
     """Damped Newton ascent of the M-step objective in (mu, log sigma).
 
     ``data`` is coordinate-major, shape (p, n), as ``_component_parts``
@@ -240,12 +242,15 @@ def _ascend(data, resp, mu, log_sigma, iters=MAX_NEWTON_STEPS, parts=None):
     Each step solves (lam I - H) d = g, where lam is a Levenberg shift added
     (and doubled) only while -H is not positive definite or not finite; a
     large shift turns d into a scaled gradient step.  The step length is
-    halved from 1 until the objective improves, and only an improving step is
-    accepted, so the objective never decreases and the observed
-    log-likelihood stays monotone (generalized EM).  Ascent stops when the
-    predicted gain g'd/2 is below the objective's rounding error (or, before
-    solving, when the gradient norm is below NEWTON_GTOL), when no step
-    length improves, or after ``iters`` steps.
+    halved from 1 until the objective improves at a point whose scales are
+    all at least ``floor`` (p,); a point below the floor counts as not
+    improving.  Only an improving step is accepted, so the objective never
+    decreases and the observed log-likelihood stays monotone (generalized
+    EM).  Ascent stops when the predicted gain g'd/2 is below the objective's
+    rounding error (or, before solving, when the gradient norm is below
+    NEWTON_GTOL), when no step length improves, or after ``iters`` steps.
+    A component whose responsibilities are all exactly 0 has the objective
+    0/0, so the gradient check stops it at once and it keeps its (mu, sigma).
     """
     p = mu.size
     theta = np.concatenate([mu, log_sigma])
@@ -268,7 +273,7 @@ def _ascend(data, resp, mu, log_sigma, iters=MAX_NEWTON_STEPS, parts=None):
                 cand = theta + step * d
                 cand_parts = _component_parts(data, cand[:p], np.exp(cand[p:]))
                 cand_obj, cand_grad, cand_hess = _weighted_obj_derivs(resp, cand_parts)
-                if cand_obj > obj:
+                if cand_obj > obj and (cand_parts.sigma >= floor).all():
                     break
                 step *= 0.5
             else:
@@ -277,31 +282,39 @@ def _ascend(data, resp, mu, log_sigma, iters=MAX_NEWTON_STEPS, parts=None):
     return theta[:p], theta[p:], parts
 
 
-def init_params(data, s, seed, strategy="quantile"):
-    """Initial mixture for EM.
-
-    "quantile" puts component means at per-coordinate data quantiles
-    (i + 0.5)/s; "random-rows" copies s distinct random rows.  Both use the
-    moment rule sigma = std(data) * sqrt(3)/pi per coordinate and uniform
-    weights.
-    """
-    if strategy not in INIT_STRATEGIES:
-        raise ValueError("unknown strategy %r, expected one of %s" % (strategy, INIT_STRATEGIES))
-    data = as_dataset(data)
-    n, p = data.shape
+def _moment_scale(data):
+    """Moment-rule scale std * sqrt(3)/pi of each coordinate of (n, p) ``data``, at least 1e-6."""
     # Scaling each column by a power of two near its largest |x| keeps the
     # squared deviations finite and, barring subnormal entries, leaves the
     # result bit-for-bit unchanged.
     _, exponent = np.frexp(np.max(np.abs(data), axis=0))
     spread = np.ldexp(np.ldexp(data, -exponent).std(axis=0), exponent)
-    scale = np.maximum(spread * LOGISTIC_SD_FACTOR, 1e-6)
+    return np.maximum(spread * LOGISTIC_SD_FACTOR, 1e-6)
+
+
+def _distinct_rows(data):
+    """The rows np.unique(data, axis=0) gives, without its structured-dtype sort."""
+    rows = data[np.lexsort(data.T[::-1])]
+    return rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
+
+
+def init_params(data, s, seed, strategy="quantile"):
+    """Initial mixture for EM.
+
+    "quantile" puts component means at per-coordinate data quantiles
+    (i + 0.5)/s; "random-rows" copies s distinct random rows.  Both use the
+    moment rule sigma = std(data) * sqrt(3)/pi per coordinate (``_moment_scale``)
+    and uniform weights.
+    """
+    if strategy not in INIT_STRATEGIES:
+        raise ValueError("unknown strategy %r, expected one of %s" % (strategy, INIT_STRATEGIES))
+    data = as_dataset(data)
+    scale = _moment_scale(data)
     if strategy == "quantile":
         qs = (np.arange(s) + 0.5) / s
         centers = np.quantile(data, qs, axis=0)
     else:
-        # The rows np.unique(data, axis=0) gives, without its structured-dtype sort.
-        rows = data[np.lexsort(data.T[::-1])]
-        distinct = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
+        distinct = _distinct_rows(data)
         if distinct.shape[0] < s:
             raise ValueError(
                 "need at least %d distinct rows for random-rows init, found %d"
@@ -336,18 +349,18 @@ def _e_step(data, model, log_pdfs=None):
     return resp, float(row_ll.sum()), int(bad.sum())
 
 
-def _em_step(coords, model, parts, resp, starved):
+def _em_step(coords, model, parts, resp, floor):
     """One EM step from ``model`` and its E-step ``resp``: (model, parts, resp, log-likelihood).
 
     ``parts[i]`` are component i's ``_Parts`` at (mu[i], sigma[i]).  An ascent starts from them
     when exp(log(sigma[i])) rounds back to sigma[i], so parts are computed only at trial points,
-    and the E-step reads its log densities from them.  ``starved`` components keep their values.
+    and the E-step reads its log densities from them.  No scale goes below ``floor`` (p,).
     """
     mu, sigma, parts = model._mu.copy(), model._sigma.copy(), list(parts)
-    for i in np.flatnonzero(~starved):
+    for i in range(model.s):
         log_sigma = np.log(sigma[i])
         start = parts[i] if (np.exp(log_sigma) == sigma[i]).all() else None
-        mu[i], _, parts[i] = _ascend(coords, resp[i], mu[i], log_sigma, parts=start)
+        mu[i], _, parts[i] = _ascend(coords, resp[i], mu[i], log_sigma, floor, parts=start)
         sigma[i] = parts[i].sigma
     weights = resp.sum(axis=1) / coords.shape[1]
     # MixtureModel renormalises the weights again; fits depend on that rounding.
@@ -389,9 +402,10 @@ def _steplength(r, v):
     return min(-1.0, -np.sqrt(r @ r) / norm_v) if norm_v > 0.0 else -1.0
 
 
-def _extrapolate(coords, theta0, theta1, state):
+def _extrapolate(coords, theta0, theta1, state, floor):
     """The state (model, parts, resp, log-likelihood) at the SQUAREM point of the cycle
-    ``theta0`` -> ``theta1`` -> ``state``, or ``state`` itself where that point is not kept."""
+    ``theta0`` -> ``theta1`` -> ``state``, or ``state`` itself where that point is not kept;
+    a point with a scale below ``floor`` (p,) is not."""
     model, _, _, loglik = state
     r, v = theta1 - theta0, _theta(model) - 2.0 * theta1 + theta0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -403,16 +417,16 @@ def _extrapolate(coords, theta0, theta1, state):
         cand = _theta_model(theta, model.s, model.p)
     except ValueError:
         return state
+    if not (cand._sigma >= floor).all():
+        return state
     parts, resp, cand_loglik = _parts_e_step(coords, cand)
-    starved = resp.sum(axis=1) < DEGENERATE_RESP_TOTAL
-    if cand_loglik >= loglik and np.isfinite(cand_loglik) and not starved.any():
+    if cand_loglik >= loglik and np.isfinite(cand_loglik):
         return cand, parts, resp, cand_loglik
     return state
 
 
-def _em_single(data, config, seed, strategy, allow_degenerate):
-    """One EM run, (model, trace, converged); None once a component starves,
-    unless ``allow_degenerate``, which freezes starved components instead.
+def _em_single(data, config, seed, strategy, floor):
+    """One EM run, (model, trace, converged), with every scale at least ``floor`` (p,).
 
     Every second step ends a SQUAREM cycle, which ``_extrapolate`` closes unless the cap is reached.
     """
@@ -421,16 +435,13 @@ def _em_single(data, config, seed, strategy, allow_degenerate):
     parts, resp, loglik = _parts_e_step(coords, model)
     trace, thetas = [loglik], []
     for it in range(config.max_iter):
-        starved = resp.sum(axis=1) < DEGENERATE_RESP_TOTAL
-        if starved.any() and not allow_degenerate:
-            return None
         thetas.append(_theta(model))
-        model, parts, resp, loglik = _em_step(coords, model, parts, resp, starved)
+        model, parts, resp, loglik = _em_step(coords, model, parts, resp, floor)
         trace.append(loglik)
         if loglik - trace[-2] < REL_TOL * max(1.0, abs(loglik)):
             return model, np.asarray(trace), True
         if len(thetas) == 2 and it + 1 < config.max_iter:
-            model, parts, resp, loglik = _extrapolate(coords, *thetas, (model, parts, resp, loglik))
+            model, parts, resp, loglik = _extrapolate(coords, *thetas, (model, parts, resp, loglik), floor)
             thetas = []
     return model, np.asarray(trace), False
 
@@ -438,37 +449,23 @@ def _em_single(data, config, seed, strategy, allow_degenerate):
 def em_fit(data, config):
     """Fit a mixture by EM with several independent restarts.
 
-    Each restart is one SQUAREM-accelerated run (see the module docstring) of
-    at most ``config.max_iter`` EM steps; ``n_iter`` counts the steps of the
-    returned run, and ``loglik_trace`` holds its start and one entry per step.
-    Returns the restart with the best final log-likelihood; ties closer than
-    1e-12 go to the lowest restart index.
+    Restart r is one SQUAREM-accelerated run (see the module docstring) of at
+    most ``config.max_iter`` EM steps from seed r of ``spawn_seeds``, started by
+    "quantile" for r = 0 and "random-rows" after; ``n_iter`` counts the steps of
+    the returned run, and ``loglik_trace`` holds its start and one entry per step.
+    Returns the restart with the best final log-likelihood; ties closer than 1e-12
+    go to the lowest restart index.  Fewer than s distinct rows raise a ValueError.
     """
     data = as_dataset(data)
-    if data.shape[0] < config.s:
-        raise ValueError(
-            "need at least s=%d rows, got %d" % (config.s, data.shape[0])
-        )
+    n_distinct = _distinct_rows(data).shape[0]
+    if n_distinct < config.s:
+        raise ValueError("data has %d distinct rows, fewer than s=%d" % (n_distinct, config.s))
+    floor = SCALE_FLOOR * _moment_scale(data)
     best = None
     for r, restart_seed in enumerate(spawn_seeds(config.seed, config.n_restarts)):
-        # A starved start is retried from fresh random rows; the last attempt
-        # freezes starved components instead of giving up.
-        attempt_seeds = [restart_seed] + spawn_seeds(restart_seed, MAX_REINIT_ATTEMPTS)
-        for a, attempt_seed in enumerate(attempt_seeds):
-            strategy = "quantile" if r == a == 0 else "random-rows"
-            outcome = _em_single(
-                data, config, attempt_seed, strategy,
-                allow_degenerate=(a == MAX_REINIT_ATTEMPTS),
-            )
-            if outcome is not None:
-                break
-        model, trace, converged = outcome
+        strategy = "quantile" if r == 0 else "random-rows"
+        model, trace, converged = _em_single(data, config, restart_seed, strategy, floor)
         if best is None or trace[-1] > best[0] + 1e-12:
             best = (trace[-1], model, trace, converged)
     _, model, trace, converged = best
-    return FitResult(
-        model=model,
-        loglik_trace=trace,
-        converged=converged,
-        n_iter=len(trace) - 1,
-    )
+    return FitResult(model=model, loglik_trace=trace, converged=converged, n_iter=len(trace) - 1)

@@ -134,24 +134,30 @@ def _log_pdf_parts(x, mu, sigma):
     runs over the leading axis left to right, as ``log1p_sum_exp_neg`` does.
 
     Far left of the mode, near z_k = -1e308, sum_k z_k and (p + 1) log_denom
-    overflow and their difference is not finite.  Only when numpy flags an
-    overflow or an invalid value is the density recomputed, and only where it
-    is not finite, as -sum_k (z_k + log_denom) - log_denom, whose terms stay
-    small; flagging costs no pass over the points.
+    overflow and their difference is not finite; a residual may itself
+    overflow to +-inf, or leave the float range inside ``log1p_sum_exp_neg``.
+    Only when numpy flags an overflow or an invalid value is the whole
+    recomputed with the flags ignored, and the density taken, where it is not
+    finite, as -sum_k (z_k + log_denom) - log_denom, whose terms stay small;
+    where that is NaN too, a residual is infinite and the density is at its
+    -inf limit.  Flagging costs no pass over the points.
     """
     p = x.shape[0]
     shape = (p,) + (1,) * (x.ndim - 1)
-    z = (x - mu.reshape(shape)) / sigma.reshape(shape)
-    log_denom = log1p_sum_exp_neg(z)
     log_sigma = np.log(sigma).sum()
     try:
         with np.errstate(over="raise", invalid="raise"):
+            z = (x - mu.reshape(shape)) / sigma.reshape(shape)
+            log_denom = log1p_sum_exp_neg(z)
             return lgamma(p + 1) - reduce(np.add, z) - (p + 1) * log_denom - log_sigma, z, log_denom
     except FloatingPointError:
         with np.errstate(over="ignore", invalid="ignore"):
+            z = (x - mu.reshape(shape)) / sigma.reshape(shape)
+            log_denom = log1p_sum_exp_neg(z)
             direct = lgamma(p + 1) - reduce(np.add, z) - (p + 1) * log_denom - log_sigma
             tail = lgamma(p + 1) - reduce(np.add, z + log_denom) - log_denom - log_sigma
-        return np.where(np.isfinite(direct), direct, tail), z, log_denom
+        # fmax takes -inf over NaN, the limit where a residual is infinite.
+        return np.where(np.isfinite(direct), direct, np.fmax(tail, -np.inf)), z, log_denom
 
 
 def _cdf(coords, mu, sigma):

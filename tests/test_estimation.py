@@ -4,12 +4,17 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 import logimix as lm
 from logimix import estimation
-from logimix._util import rng_from_seed, spawn_seeds
+from logimix._util import rng_from_seed
 from logimix.estimation import _ascend, _component_parts, _newton_direction, _weighted_obj_derivs
 from logimix.mixture import WEIGHT_FLOOR, _model
 from logimix.mld import _coordinate_major
 
 from oracles import fd_log_pdf_gradients
+
+
+def scale_floor(data):
+    """The scale floor ``em_fit`` puts on ``data``."""
+    return estimation.SCALE_FLOOR * estimation._moment_scale(np.asarray(data, dtype=float))
 
 
 def reference_model():
@@ -220,7 +225,7 @@ class TestNewtonMStep:
         log_sigma = log_sigma + 1.5
         values = [_mean_log_pdf(data, resp, mu, log_sigma)]
         for iters in range(1, 8):
-            new_mu, new_ls, _ = _ascend(data.T, resp, mu, log_sigma, iters)
+            new_mu, new_ls, _ = _ascend(data.T, resp, mu, log_sigma, scale_floor(data), iters)
             values.append(_mean_log_pdf(data, resp, new_mu, new_ls))
         assert np.all(np.diff(values) >= 0.0)
 
@@ -229,7 +234,7 @@ class TestNewtonMStep:
             lm.MixtureModel([1.0], (lm.MldParams([0.7, -1.0], [1.4, 0.6]),)), 500, seed=41
         )
         resp = np.ones(data.shape[0])
-        mu, log_sigma, _ = _ascend(data.T, resp, np.zeros(2), np.log([140.0, 60.0]))
+        mu, log_sigma, _ = _ascend(data.T, resp, np.zeros(2), np.log([140.0, 60.0]), scale_floor(data))
         g_mu, g_ls = lm.component_log_pdf_grad(data, lm.MldParams(mu, np.exp(log_sigma)))
         g_mu, g_ls = g_mu.mean(axis=0), g_ls.mean(axis=0)
         assert np.sqrt(g_mu @ g_mu + g_ls @ g_ls) < 1e-6
@@ -239,7 +244,7 @@ class TestNewtonMStep:
     def test_ascent_returns_the_parts_of_its_point(self, p):
         data, resp, mu, log_sigma = _newton_case(p, 60 + p)
         for iters in (0, 1, 5):
-            new_mu, new_ls, parts = _ascend(data.T, resp, mu, log_sigma + 1.0, iters)
+            new_mu, new_ls, parts = _ascend(data.T, resp, mu, log_sigma + 1.0, scale_floor(data), iters)
             fresh = _component_parts(data.T, new_mu, np.exp(new_ls))
             for name, got, want in zip(parts._fields, parts, fresh):
                 assert np.array_equal(got, want), name
@@ -294,6 +299,14 @@ class TestEmFit:
     def test_needs_enough_rows(self):
         with pytest.raises(ValueError):
             lm.em_fit(np.zeros((1, 1)), lm.FitConfig(s=2))
+
+    @pytest.mark.parametrize("n_restarts", [1, 2])
+    def test_needs_s_distinct_rows(self, n_restarts):
+        data = np.concatenate([np.full((50, 2), 1.5), np.full((50, 2), -0.5)])
+        with pytest.raises(ValueError, match="data has 2 distinct rows, fewer than s=3"):
+            lm.em_fit(data, lm.FitConfig(s=3, n_restarts=n_restarts))
+        with pytest.raises(ValueError, match="data has 1 distinct rows, fewer than s=2"):
+            lm.em_fit(data[:50], lm.FitConfig(s=2, n_restarts=n_restarts))
 
     def test_single_component_reaches_stationarity(self):
         data, _ = lm.sample_mixture(
@@ -376,31 +389,34 @@ class TestEmFit:
         res = lm.em_fit(data, lm.FitConfig(s=2, seed=1, n_restarts=1))
         assert res.loglik_trace[-1] == lm.log_likelihood(data, res.model)
 
-    def test_last_reinit_attempt_freezes_starved_components(self, monkeypatch):
-        # Every component counts as starved, so each attempt but the last is
-        # abandoned and the last keeps its random-rows start unchanged.
-        monkeypatch.setattr(estimation, "DEGENERATE_RESP_TOTAL", np.inf)
-        data, _ = lm.sample_mixture(reference_model(), 300, seed=42)
-        res = lm.em_fit(data, lm.FitConfig(s=2, seed=3, n_restarts=1))
-        last_seed = spawn_seeds(spawn_seeds(3, 1)[0], estimation.MAX_REINIT_ATTEMPTS)[-1]
-        start = lm.init_params(data, 2, last_seed, "random-rows")
-        for got, want in zip(res.model.components, start.components):
-            assert np.array_equal(got.mu, want.mu) and np.array_equal(got.sigma, want.sigma)
-
     def test_frozen_component_keeps_a_floored_weight_that_round_trips(self, tmp_path):
-        # Component 1's responsibility total is 6.6e-34, so it is frozen and its weight
-        # floored; a division after the floor used to push it under WEIGHT_FLOOR again.
-        coords = _coordinate_major(np.random.default_rng(62).logistic(size=(300, 1)))
+        # Component 1's responsibility total is 6.6e-34, so its weight is floored; a
+        # division after the floor used to push it under WEIGHT_FLOOR again.
+        data = np.random.default_rng(62).logistic(size=(300, 1))
+        coords = _coordinate_major(data)
         model = _model([0.999, 0.001], [[0.0], [80.0]], 1.0)
         parts, resp, _ = estimation._parts_e_step(coords, model)
-        starved = resp.sum(axis=1) < estimation.DEGENERATE_RESP_TOTAL
-        assert starved.tolist() == [False, True]
-        stepped = estimation._em_step(coords, model, parts, resp, starved)[0]
+        assert 0.0 < resp[1].sum() < 1e-33
+        stepped = estimation._em_step(coords, model, parts, resp, scale_floor(data))[0]
         assert stepped.weights[1] == WEIGHT_FLOOR
         lm.save_model(stepped, tmp_path / "model.json")
         loaded = lm.load_model(tmp_path / "model.json")
         assert (loaded.weights >= WEIGHT_FLOOR).all()
         np.testing.assert_allclose(loaded.weights, stepped.weights, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_component_with_zero_responsibility_keeps_its_values(self):
+        # Component 1 is so far from every row that each of its responsibilities is
+        # exactly 0: its objective is 0/0 and its ascent stops before the first step.
+        data = np.random.default_rng(63).logistic(size=(300, 1))
+        coords = _coordinate_major(data)
+        model = _model([0.5, 0.5], [[0.0], [1e4]], [[1.0], [0.5]])
+        parts, resp, _ = estimation._parts_e_step(coords, model)
+        assert (resp[1] == 0.0).all()
+        stepped = estimation._em_step(coords, model, parts, resp, scale_floor(data))[0]
+        assert stepped._mu[1, 0] == 1e4 and stepped._sigma[1, 0] == 0.5
+        assert stepped.weights[1] == WEIGHT_FLOOR
+        assert stepped._mu[0, 0] != 0.0
 
     def test_extrapolated_weight_below_the_floor_is_floored(self):
         cand = estimation._theta_model(np.array([0.0, -80.0, 0.0, 5.0, 0.0, 0.0]), 2, 1)
@@ -418,28 +434,29 @@ class TestEmFit:
         assert np.array_equal(capped.model._sigma, free.model._sigma)
         assert not lm.em_fit(data, lm.FitConfig(s=2, n_restarts=1, seed=3, max_iter=15)).converged
 
-    def test_starved_quantile_start_is_retried_from_random_rows(self, monkeypatch):
-        # Seven rows for five components: the quantile start starves a component.
-        attempts = []
-        em_single = estimation._em_single
+    # Data on which the likelihood is unbounded, each with FitConfig(s=s, n_restarts=2, seed=0):
+    # the final log-likelihood and step count, pinned.  A component that sits on too few
+    # distinct rows ends at the scale floor, not near the float limit.
+    DEGENERATE = {
+        "n-equals-s": (np.random.default_rng(0).normal(size=(3, 2)), 3, 79.48228891113575, 4),
+        "two-valued": (np.repeat([[0.0], [1.0]], 50, axis=0), 2, 1300.109421748978, 4),
+        "identical-rows": (np.full((50, 1), 2.5), 1, 1312.2363377360982, 2),
+        "seven-rows-five-components": (
+            np.random.default_rng(1).normal(size=(7, 1)), 5, 47.4551422031154, 18),
+    }
 
-        def spy(data, config, seed, strategy, allow_degenerate):
-            outcome = em_single(data, config, seed, strategy, allow_degenerate)
-            attempts.append((strategy, outcome is None))
-            return outcome
-
-        monkeypatch.setattr(estimation, "_em_single", spy)
-        data = np.random.default_rng(1).normal(size=(7, 1))
-        res = lm.em_fit(data, lm.FitConfig(s=5, n_restarts=2, seed=0))
-        # Restart 0: the quantile start and the first random-rows start starve, the second
-        # random-rows start does not; restart 1 starts from random rows and does not starve.
-        assert attempts == [
-            ("quantile", True), ("random-rows", True), ("random-rows", False), ("random-rows", False),
-        ]
-        # The sigma-collapse spike that plain EM ends at too.
-        assert res.loglik_trace[-1] == pytest.approx(2825.0489014315, rel=1e-12)
-        assert np.isfinite(res.loglik_trace[-1])
-        assert np.isfinite(res.model._mu).all() and np.isfinite(res.model._sigma).all()
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", DEGENERATE)
+    def test_degenerate_data_converge_at_the_scale_floor(self, case):
+        data, s, loglik, n_iter = self.DEGENERATE[case]
+        res = lm.em_fit(data, lm.FitConfig(s=s, n_restarts=2, seed=0))
+        floor = scale_floor(data)
+        assert res.converged and res.n_iter == n_iter
+        assert res.loglik_trace[-1] == pytest.approx(loglik, rel=1e-12)
+        assert np.isfinite(res.model._mu).all()
+        assert (res.model._sigma >= floor).all()
+        # Some scale ends within 1e-9 of the floor instead of near the float limit.
+        assert (res.model._sigma <= floor * (1 + 1e-9)).any()
 
     def test_deterministic_given_seed(self):
         data, _ = lm.sample_mixture(reference_model(), 600, seed=39)
@@ -452,16 +469,13 @@ class TestEmFit:
 
 def plain_em(data, config, seed, strategy):
     """``estimation._em_single`` without extrapolation: the start's E-step, then
-    ``estimation._em_step`` until the stopping rule or the cap; None if a component starves."""
+    ``estimation._em_step`` until the stopping rule or the cap."""
     model = lm.init_params(data, config.s, seed, strategy)
     coords = _coordinate_major(data)
     parts, resp, loglik = estimation._parts_e_step(coords, model)
     trace = [loglik]
     for _ in range(config.max_iter):
-        starved = resp.sum(axis=1) < estimation.DEGENERATE_RESP_TOTAL
-        if starved.any():
-            return None
-        model, parts, resp, loglik = estimation._em_step(coords, model, parts, resp, starved)
+        model, parts, resp, loglik = estimation._em_step(coords, model, parts, resp, scale_floor(data))
         trace.append(loglik)
         if loglik - trace[-2] < estimation.REL_TOL * max(1.0, abs(loglik)):
             return model, np.asarray(trace), True
@@ -489,14 +503,14 @@ class TestSquarem:
         extrapolate = estimation._extrapolate
         calls = []
 
-        def spy(coords, theta0, theta1, state):
-            out = extrapolate(coords, theta0, theta1, state)
+        def spy(coords, theta0, theta1, state, floor):
+            out = extrapolate(coords, theta0, theta1, state, floor)
             calls.append(out is state)
             return out
 
         monkeypatch.setattr(estimation, "_steplength", lambda r, v: steplength)
         monkeypatch.setattr(estimation, "_extrapolate", spy)
-        model, trace, converged = estimation._em_single(data, config, 0, "quantile", False)
+        model, trace, converged = estimation._em_single(data, config, 0, "quantile", scale_floor(data))
         want_model, want_trace, want_converged = plain_em(data, config, 0, "quantile")
         assert calls and all(calls)
         assert np.array_equal(trace, want_trace) and converged == want_converged
@@ -520,31 +534,25 @@ class TestSquarem:
         # No extrapolation follows the last step, so the last entry is the model's own.
         assert trace[-1] == lm.log_likelihood(data, fit.model)
 
-    def test_extrapolation_that_starves_a_component_is_not_kept(self):
-        # Component 1 sits far from the data and its weight falls along the cycle; the
-        # extrapolated point raises the log-likelihood but starves it, so the cycle ends at theta2.
-        data = np.random.default_rng(62).logistic(size=(300, 1))
+    def test_extrapolation_below_the_scale_floor_is_not_kept(self):
+        # The scale falls along the cycle towards the data's 0.01 and the extrapolated point
+        # raises the log-likelihood; it is kept under a floor below its scale, not above.
+        data = 0.01 * np.random.default_rng(62).logistic(size=(300, 1))
         coords = _coordinate_major(data)
-        model0, model1, model2 = (
-            lm.MixtureModel([1.0 - w, w], (lm.MldParams([0.0], [1.0]), lm.MldParams([50.0], [1.0])))
-            for w in (np.exp(-1.0), np.exp(-10.0), np.exp(-15.0))
-        )
+        model0, model1, model2 = (lm.MixtureModel([1.0], (lm.MldParams([0.0], [sg]),))
+                                  for sg in (1.0, 0.5, 0.3))
         theta0, theta1 = estimation._theta(model0), estimation._theta(model1)
         state = (model2,) + estimation._parts_e_step(coords, model2)
-        r, v = theta1 - theta0, estimation._theta(model2) - 2.0 * theta1 + theta0
-        alpha = estimation._steplength(r, v)
-        cand = estimation._theta_model(theta0 - 2.0 * alpha * r + alpha * alpha * v, 2, 1)
-        _, cand_resp, cand_loglik = estimation._parts_e_step(coords, cand)
-        assert alpha < -1.0 and cand_loglik >= state[3]
-        assert cand_resp[1].sum() < estimation.DEGENERATE_RESP_TOTAL
-        assert estimation._extrapolate(coords, theta0, theta1, state) is state
+        kept = estimation._extrapolate(coords, theta0, theta1, state, np.array([0.05]))
+        assert kept[3] > state[3] and 0.05 < kept[0]._sigma[0, 0] < 0.1
+        assert estimation._extrapolate(coords, theta0, theta1, state, np.array([0.1])) is state
 
     @pytest.mark.parametrize("p, s", SQUAREM_SHAPES)
     @pytest.mark.parametrize("max_iter", [20, 60])
     def test_ends_no_lower_than_plain_em(self, p, s, max_iter):
         data = squarem_inputs(p, s)
         config = lm.FitConfig(s=s, max_iter=max_iter)
-        _, trace, _ = estimation._em_single(data, config, 0, "quantile", False)
+        _, trace, _ = estimation._em_single(data, config, 0, "quantile", scale_floor(data))
         _, plain_trace, _ = plain_em(data, config, 0, "quantile")
         assert trace[-1] >= plain_trace[-1]
 

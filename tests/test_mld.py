@@ -272,8 +272,6 @@ class TestFarLeftLogPdf:
         with np.errstate(over="ignore"):
             z = (x - mu[:, None]) / sigma[:, None]
         assume(np.isfinite(z).all())
-        # Past this spread the shift in log1p_sum_exp_neg itself overflows, a separate case.
-        assume(np.all(z.max(axis=0) <= np.finfo(float).max + np.minimum(z.min(axis=0), 0.0)))
         want = _direct_log_pdf(x, mu, sigma)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -291,6 +289,18 @@ class TestFarLeftLogPdf:
             warnings.simplefilter("error")
             assert lm.mld_log_pdf(x, params) == pytest.approx(-1e308, rel=1e-15)
             assert np.isfinite(lm.mixture_log_pdf(x, model))
+
+    @pytest.mark.parametrize("x, mu, sigma", [
+        ([-1e300], [0.0], [1e-300]),  # the residual itself overflows to -inf
+        ([1e300], [0.0], [1e-300]),  # ... and to +inf
+        ([-1e308, 1e308], [0.0, 0.0], [1.0, 1.0]),  # the shift in log1p_sum_exp_neg overflows
+    ])
+    def test_out_of_range_residual_gives_the_minus_inf_limit(self, x, mu, sigma):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lm.mld_log_pdf(x, lm.MldParams(mu, sigma)) == -np.inf
+            got = lm.mld_log_pdf([x, np.zeros(len(x))], lm.MldParams(mu, sigma))
+        assert got[0] == -np.inf and np.isfinite(got[1])
 
 
 class TestMarginals:

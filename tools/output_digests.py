@@ -6,11 +6,13 @@ workloads draw themselves, then the "extra" commands: CLI paths no workload
 takes (``sample --labels``, ``eval --emit-plot-data`` on a p = 1 model,
 ``check-id --mode equality`` of a model against itself and against a
 component-permuted copy, ``collapse`` of a shared-scale p = 2 model,
-``check-id --mode gram`` of the p = 1 and p = 2 models, and
-``check-id --mode vandermonde`` of four distinct nodes), on models and nodes
-drawn here from the seed.  It prints one line per output file:
-workload (or "extra"), command index and kind, exit code, file name and
-SHA-1.  Two checkouts print the same lines exactly when every command exits
+``check-id --mode gram`` of the p = 1 and p = 2 models,
+``check-id --mode vandermonde`` of four distinct nodes, and ``fit`` of seven
+rows with s = 5 and of fifty identical rows with s = 1, where the scale floor
+binds, each followed by an ``eval`` that loads the fitted model again), on
+models, nodes and rows drawn here from the seed.  It prints one line per
+output file: workload (or "extra"), command index and kind, exit code, file
+name and SHA-1.  Two checkouts print the same lines exactly when every command exits
 the same way and writes the same bytes, so a change that must keep every
 output byte-identical is checked by running, in each checkout,
 
@@ -35,7 +37,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 import numpy as np  # noqa: E402
 
 from logimix import cli  # noqa: E402
-from workloads import SIZES, WORKLOADS, random_model, write_model  # noqa: E402
+from workloads import SIZES, WORKLOADS, random_model, write_model, write_rows  # noqa: E402
 
 # Rows the extra "sample" command draws, per size.
 EXTRA_ROWS = {"full": 2000, "smoke": 200}
@@ -64,6 +66,8 @@ def extra_commands(seed, size, directory):
     perm = np.roll(np.arange(3), 1)
     write_model(path("p2-permuted.json"), weights[perm], mu[perm], sigma[perm])
     node_mus, node_sigmas = rng.uniform([[-2.0], [0.5]], [[2.0], [2.0]], (2, 4))
+    write_rows(path("seven.csv"), rng.normal(size=(7, 1)))
+    write_rows(path("identical.csv"), np.full((50, 1), rng.normal()))
     return [
         (["sample", "--model", path("p1.json"), "--n", str(EXTRA_ROWS[size]), "--seed", str(seed),
           "--out", path("rows.csv"), "--labels", path("labels.csv")],
@@ -88,7 +92,14 @@ def extra_commands(seed, size, directory):
         (["check-id", "--mode", "vandermonde", "--mus", ",".join(map(repr, node_mus.tolist())),
           "--sigmas", ",".join(map(repr, node_sigmas.tolist())), "--out", path("vandermonde.json")],
          (path("vandermonde.json"),)),
-    ]
+    ] + [cmd for rows, s in (("seven", 5), ("identical", 1)) for cmd in (
+        (["fit", "--data", path(rows + ".csv"), "--s", str(s), "--n-restarts", "2", "--seed", str(seed),
+          "--out", path(rows + "-model.json"), "--report", path(rows + "-report.json")],
+         (path(rows + "-model.json"), path(rows + "-report.json"))),
+        (["eval", "--model", path(rows + "-model.json"), "--data", path(rows + ".csv"),
+          "--seed", str(seed), "--out", path(rows + "-eval.json")],
+         (path(rows + "-eval.json"),)),
+    )]
 
 
 def digest_lines(seed, size, workdir):
