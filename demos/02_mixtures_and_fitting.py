@@ -25,9 +25,9 @@ print("label frequencies:", np.bincount(labels) / labels.size)
 print("mixture pdf at 0:", lm.mixture_pdf(np.array([0.0]), truth))
 print("mean log-likelihood:", lm.log_likelihood(data, truth) / data.shape[0])
 
-# Fit from scratch.  The M-step has no closed form, so each component runs a
-# short gradient ascent in (mu, log sigma); the log-likelihood trace is
-# monotone up to floating-point slack.
+# Fit from scratch.  The M-step has no closed form, so each component takes
+# one safeguarded Newton step in (mu, log sigma) per iteration; the
+# log-likelihood trace is monotone up to floating-point slack.
 result = lm.em_fit(data, lm.FitConfig(s=2, n_restarts=3, seed=1))
 print("\nconverged:", result.converged, "after", result.n_iter, "iterations")
 print("trace is monotone:", bool(np.all(np.diff(result.loglik_trace) >= -1e-9)))

@@ -1,15 +1,16 @@
 """Maximum-likelihood fitting of logistic mixtures via generalized EM.
 
-There is no closed-form M-step for logistic components, so each M-step runs a
-few damped Newton steps per component in (mu, log sigma), on the analytic
-gradient and Hessian of the responsibility-weighted log density.  A Levenberg
-shift is added whenever the negated Hessian is not positive definite, and a
-backtracking line search accepts a step only if it improves the objective and
-keeps every scale at least SCALE_FLOOR * m_k (``_moment_scale``), a floor that
-bounds the likelihood as in Hathaway's constrained MLE (1985, Ann. Stat.).
-Every accepted inner step therefore improves the expected complete-data
-objective, which keeps the observed log-likelihood monotone up to
-floating-point slack (generalized EM).
+There is no closed-form M-step for logistic components, so each M-step takes
+one safeguarded Newton step per component in (mu, log sigma), on the analytic
+gradient and Hessian of the responsibility-weighted log density: the
+EM-gradient algorithm (Lange 1995, JRSS-B).  A Levenberg shift is added
+whenever the negated Hessian is not positive definite, and the step is halved
+until it improves the objective.  A trial scale below SCALE_FLOOR * m_k
+(``_moment_scale``) is raised to it, a projection onto the floor that bounds
+the likelihood as in Hathaway's constrained MLE (1985, Ann. Stat.).  Every
+accepted step therefore improves the expected complete-data objective, which
+keeps the observed log-likelihood monotone up to floating-point slack
+(generalized EM).
 
 One EM step (``_em_step``) is that M-step and then the E-step at its result.
 A run (``_em_single``) is the E-step of its start and then SQUAREM cycles
@@ -60,15 +61,10 @@ SCALE_FLOOR = 1e-6
 # shifted matrix is positive definite.
 LEVENBERG_SEED = 1e-8
 
-# Most Newton steps per component in one M-step.  The predicted-gain rule in
-# `_ascend` ends almost every ascent first; the cap binds only while a scale
-# closes in on the scale floor on degenerate data.
-MAX_NEWTON_STEPS = 50
-
-# An ascent whose gradient norm is below this stops before the Cholesky solve.
-# On every fit measured the predicted-gain rule stopped those ascents at the
-# same step anyway; the early exit only saves the solve, which is measurable
-# on many small fits.
+# A Newton M-step whose gradient norm is below this takes no step and skips the
+# Cholesky solve.  On every fit measured the predicted-gain rule refused those
+# steps anyway; the early exit only saves the solve, which is measurable on many
+# small fits.
 NEWTON_GTOL = 1e-10
 
 
@@ -233,53 +229,49 @@ def _newton_direction(grad, hess):
     return np.zeros_like(grad)
 
 
-def _ascend(data, resp, mu, log_sigma, floor, iters=MAX_NEWTON_STEPS, parts=None):
-    """Damped Newton ascent of the M-step objective in (mu, log sigma).
+def _ascend(data, resp, mu, parts, floor):
+    """One safeguarded Newton step of the M-step objective in (mu, log sigma).
 
     ``data`` is coordinate-major, shape (p, n), as ``_component_parts``
-    takes it, and ``parts`` are the component's parts at the start, computed
-    when not given.  Returns the accepted (mu, log sigma) and its parts.
-    Each step solves (lam I - H) d = g, where lam is a Levenberg shift added
-    (and doubled) only while -H is not positive definite or not finite; a
-    large shift turns d into a scaled gradient step.  The step length is
-    halved from 1 until the objective improves at a point whose scales are
-    all at least ``floor`` (p,); a point below the floor counts as not
-    improving.  Only an improving step is accepted, so the objective never
-    decreases and the observed log-likelihood stays monotone (generalized
-    EM).  Ascent stops when the predicted gain g'd/2 is below the objective's
-    rounding error (or, before solving, when the gradient norm is below
-    NEWTON_GTOL), when no step length improves, or after ``iters`` steps.
-    A component whose responsibilities are all exactly 0 has the objective
-    0/0, so the gradient check stops it at once and it keeps its (mu, sigma).
+    takes it, and ``parts`` are the component's parts at the start (mu,
+    sigma).  Returns the new mu and its parts, whose ``sigma`` is the new
+    scale; without a step, ``mu`` and ``parts`` themselves.  The direction
+    solves (lam I - H) d = g at the start, where lam is a Levenberg shift
+    added (and doubled) only while -H is not positive definite or not
+    finite; a large shift turns d into a scaled gradient step.  The step
+    length is halved from 1 until the objective improves.  A trial scale is
+    max(exp(log sigma), ``floor``) (p,): a step that points below the floor
+    is projected onto it, not refused, so a scale on the floor does not
+    stall the step in mu.  A trial point gets its parts only, which the
+    E-step and the next M-step read; derivatives there would be wasted, as
+    the next M-step has new responsibilities.  Only an improving step is
+    taken, so the objective never decreases and the observed log-likelihood
+    stays monotone (generalized EM).  No step is taken when the predicted
+    gain g'd/2 is below the objective's rounding error (or, before solving,
+    when the gradient norm is below NEWTON_GTOL), or when no step length
+    down to 2**-60 improves.  A component whose responsibilities are all
+    exactly 0 has the objective 0/0, so the gradient check stops it at once
+    and it keeps its (mu, sigma).
     """
     p = mu.size
-    theta = np.concatenate([mu, log_sigma])
     # Typical rounding error of a mean of n terms: a smaller gain cannot be
     # told apart from noise, and searching for it only burns evaluations.
     noise = np.finfo(float).eps * np.sqrt(data.shape[1])
     # Trial points may overflow; a non-finite objective is never accepted.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if parts is None:
-            parts = _component_parts(data, mu, np.exp(log_sigma))
         obj, grad, hess = _weighted_obj_derivs(resp, parts)
-        for _ in range(iters):
-            if not np.sqrt(grad @ grad) >= NEWTON_GTOL:
-                break
-            d = _newton_direction(grad, hess)
-            if not 0.5 * (grad @ d) > noise * max(1.0, abs(obj)):
-                break
-            step = 1.0
-            while step >= 2.0**-60:
-                cand = theta + step * d
-                cand_parts = _component_parts(data, cand[:p], np.exp(cand[p:]))
-                cand_obj, cand_grad, cand_hess = _weighted_obj_derivs(resp, cand_parts)
-                if cand_obj > obj and (cand_parts.sigma >= floor).all():
-                    break
-                step *= 0.5
-            else:
-                break
-            theta, obj, grad, hess, parts = cand, cand_obj, cand_grad, cand_hess, cand_parts
-    return theta[:p], theta[p:], parts
+        if not np.sqrt(grad @ grad) >= NEWTON_GTOL:
+            return mu, parts
+        d = _newton_direction(grad, hess)
+        if not 0.5 * (grad @ d) > noise * max(1.0, abs(obj)):
+            return mu, parts
+        theta, total = np.concatenate([mu, np.log(parts.sigma)]), resp.sum()
+        for k in range(61):
+            cand = theta + 0.5**k * d
+            cand_parts = _component_parts(data, cand[:p], np.maximum(np.exp(cand[p:]), floor))
+            if float(np.dot(resp, cand_parts.log_pdf)) / total > obj:
+                return cand[:p], cand_parts
+    return mu, parts
 
 
 def _moment_scale(data):
@@ -352,15 +344,13 @@ def _e_step(data, model, log_pdfs=None):
 def _em_step(coords, model, parts, resp, floor):
     """One EM step from ``model`` and its E-step ``resp``: (model, parts, resp, log-likelihood).
 
-    ``parts[i]`` are component i's ``_Parts`` at (mu[i], sigma[i]).  An ascent starts from them
-    when exp(log(sigma[i])) rounds back to sigma[i], so parts are computed only at trial points,
-    and the E-step reads its log densities from them.  No scale goes below ``floor`` (p,).
+    ``parts[i]`` are component i's ``_Parts`` at (mu[i], sigma[i]).  Component i's Newton step
+    starts from them, so parts are computed only at trial points, and the E-step reads its log
+    densities from them.  No scale goes below ``floor`` (p,).
     """
     mu, sigma, parts = model._mu.copy(), model._sigma.copy(), list(parts)
     for i in range(model.s):
-        log_sigma = np.log(sigma[i])
-        start = parts[i] if (np.exp(log_sigma) == sigma[i]).all() else None
-        mu[i], _, parts[i] = _ascend(coords, resp[i], mu[i], log_sigma, floor, parts=start)
+        mu[i], parts[i] = _ascend(coords, resp[i], mu[i], parts[i], floor)
         sigma[i] = parts[i].sigma
     weights = resp.sum(axis=1) / coords.shape[1]
     # MixtureModel renormalises the weights again; fits depend on that rounding.

@@ -3,10 +3,12 @@
 Draws the inputs of the fit-ref and fit-batch workloads for one seed through
 ``perfbench/workloads.py`` (read only), runs each workload's CLI commands
 once through ``logimix.cli.run``, and counts the calls of five functions of
-``logimix.estimation``: the E-step (``_e_step``), the per-component ascents
-(``_ascend``), the M-step's derivative evaluations
-(``_weighted_obj_derivs``), the Newton solves (``_newton_direction``) and the
-component part computations (``_component_parts``).  EM's work is
+``logimix.estimation``: the E-step (``_e_step``), the per-component Newton
+steps of the M-step (``_ascend``), its derivative evaluations
+(``_weighted_obj_derivs``, taken once per ``_ascend``, at its start), the
+Newton solves (``_newton_direction``) and the component part computations
+(``_component_parts``, one per trial point of a step and per component of
+a start or an extrapolated point).  EM's work is
 deterministic, so these counts are the same on every run of one tree and
 seed, and two trees whose fits must do the same work are checked by running,
 in each checkout,
