@@ -12,6 +12,15 @@ accepted step therefore improves the expected complete-data objective, which
 keeps the observed log-likelihood monotone up to floating-point slack
 (generalized EM).
 
+The M-step is array code over a component axis.  ``_component_parts`` gives
+the s components' log densities and the other per-row arrays of their
+derivatives in one ``_log_pdf_parts`` call, ``_weighted_obj_derivs`` their
+(s,) objectives, (s, 2p) gradients and (s, 2p, 2p) Hessians through batched
+``matmul``, and ``_ascend`` takes every component's step at once, with one
+parts call per round of step halving; only the Cholesky solve
+(``_newton_direction``) runs once per component.  Each component's step is
+bit for bit the one it would take alone.
+
 One EM step (``_em_step``) is that M-step and then the E-step at its result.
 A run (``_em_single``) is the E-step of its start and then SQUAREM cycles
 (Varadhan & Roland 2008, Scand. J. Stat.) of that step F on
@@ -20,14 +29,17 @@ theta1 = F(theta0) and theta2 = F(theta1), and extrapolates to
 theta0 - 2 alpha r + alpha^2 v, with r = theta1 - theta0,
 v = theta2 - 2 theta1 + theta0 and the SqS3 steplength alpha = -||r||/||v||
 capped at -1 (alpha = -1 is theta2 itself).  That point is built as a step
-builds its model and kept only if it is a valid model above the scale floor
+builds its weights and kept only if it is a valid model above the scale floor
 and its log-likelihood is finite and at least theta2's; otherwise the cycle
 ends at theta2 (the monotone fallback).  Only steps count: the trace holds
 the start and one entry per step, and an extrapolation's E-step is neither a
 step nor an entry.  The run stops once a step's entry exceeds the one before
 it by less than REL_TOL * max(1, |log-likelihood|) (converged), a rise that
 after a kept extrapolation includes the extrapolation's gain, or once
-max_iter steps are taken (not converged).
+max_iter steps are taken (not converged).  A run keeps its state as arrays
+(``_State``: weights, mu, the parts, whose sigma is the scales, and the
+E-step's responsibilities and log-likelihood) and builds its MixtureModel once,
+at the end.
 """
 
 import warnings
@@ -38,7 +50,10 @@ from functools import lru_cache
 import numpy as np
 
 from ._util import _require_counts, log_sum_exp, rng_from_seed, spawn_seeds
-from .mixture import MixtureModel, WEIGHT_FLOOR, _model, _weighted_log_pdfs, as_dataset
+from .mixture import (
+    MixtureModel, _checked_rows, _component_log_pdfs, _model, _renormalised, _stored_model,
+    _weighted_log_pdfs, as_dataset,
+)
 from .mld import _as_points, _coordinate_major, _log_pdf_parts
 
 INIT_STRATEGIES = ("quantile", "random-rows")
@@ -52,9 +67,9 @@ REL_TOL = 1e-8
 LOGISTIC_SD_FACTOR = np.sqrt(3.0) / np.pi
 
 # Every fitted sigma_ik is at least SCALE_FLOOR * m_k, m_k the moment-rule scale of
-# coordinate k.  The value is the moment rule's own absolute clamp, taken relative to
-# the data: at the floor a row adds about p log(1e6) = 13.8 p nats over the start,
-# while every fit-ref and fit-batch fit (seeds 1, 3, 5) ends above 0.34 m_k.
+# coordinate k, so the floor scales with the data.  At the floor a row adds about
+# p log(1e6) = 13.8 p nats over the start, while every fit-ref and fit-batch fit
+# (seeds 1, 3, 5) ends above 0.34 m_k.
 SCALE_FLOOR = 1e-6
 
 # First nonzero Levenberg shift of the Newton M-step; it is doubled until the
@@ -106,7 +121,8 @@ def responsibilities(x, model):
     affected rows degenerate to uniform and a RuntimeWarning is emitted.
     """
     x = _as_points(x, model.p)
-    resp, _, n_underflow = _e_step(_coordinate_major(np.atleast_2d(x)), model)
+    log_pdfs = _component_log_pdfs(_coordinate_major(np.atleast_2d(x)), model)
+    resp, _, n_underflow = _e_step(model.weights, log_pdfs)
     if n_underflow:
         warnings.warn(
             "all mixture components underflowed; returning uniform responsibilities",
@@ -119,33 +135,54 @@ def component_log_pdf_grad(x, params):
     """Gradient of the component log density wrt (mu, log sigma).
 
     With z_k = (x_k - mu_k)/sigma_k and w_k = exp(-z_k)/(1 + sum_j exp(-z_j)),
-    read from ``_component_parts`` as in the M-step:
+    read from ``_component_parts`` (a stack of one) as in the M-step:
 
         d/d mu_k       = (1/sigma_k) * (1 - (p+1) w_k)
         d/d log sigma_k = z_k * (1 - (p+1) w_k) - 1
     """
     x = _as_points(x, params.p)
-    parts = _component_parts(_coordinate_major(x.reshape(-1, params.p)), params.mu, params.sigma)
-    base = 1.0 - (params.p + 1) * parts.w
-    return tuple(g.T.reshape(x.shape) for g in (base / parts.sigma[:, None], parts.z * base - 1.0))
+    parts = _component_parts(_coordinate_major(x.reshape(-1, params.p)), params.mu[None], params.sigma[None])
+    base = 1.0 - (params.p + 1) * parts.w[:, 0]
+    return tuple(g.T.reshape(x.shape) for g in (base / params.sigma[:, None], parts.z[:, 0] * base - 1.0))
 
 
-# The arrays of one component at one (mu, sigma) that do not depend on the
-# responsibilities: sigma, the log density, z, w, z w, z^2 w and the stacked
-# (2p, n) [w / sigma; z w], with z and w as in ``_weighted_obj_derivs``.
-_Parts = namedtuple("_Parts", "sigma log_pdf z w zw zzw stacked")
+# The arrays of s components, each at its own (mu, sigma), that do not depend on the
+# responsibilities: sigma (s, p), the log densities (s, n), z and w (p, s, n) and the
+# stacked (2p, s, n) [w / sigma; z w], whose lower half is z w, with z and w as in
+# ``_weighted_obj_derivs``.  Component i is row i of sigma and log_pdf and column i
+# of the rest.
+_Parts = namedtuple("_Parts", "sigma log_pdf z w zw stacked")
 
 
 def _component_parts(data, mu, sigma):
-    """The ``_Parts`` of one component at coordinate-major points ``data`` (p, n).
+    """The ``_Parts`` of the components whose rows are those of (s, p) ``mu`` and
+    ``sigma`` at coordinate-major points ``data`` (p, n), from one ``_log_pdf_parts`` call.
 
     ``sigma`` is kept as given, so it must not be written to afterwards.
     """
-    log_pdf, z, log_denom = _log_pdf_parts(data, mu, sigma)
+    log_pdf, z, log_denom = _log_pdf_parts(data[:, None], mu.T, sigma.T)
     w = np.exp(-z - log_denom)
-    stacked = np.concatenate([w / sigma[:, None], z * w])
-    zw = stacked[z.shape[0]:]
-    return _Parts(sigma, log_pdf, z, w, zw, zw * z, stacked)
+    stacked = np.concatenate([w / sigma.T[:, :, None], z * w])
+    return _Parts(sigma, log_pdf, z, w, stacked[z.shape[0]:], stacked)
+
+
+def _replace(mu, parts, taken):
+    """Copies of (s, p) ``mu`` and of ``parts`` in which, for each (idx, cand_mu, cand, rows)
+    of ``taken``, components ``idx`` are ``cand_mu`` and the components ``rows`` of ``cand``."""
+    mu = mu.copy()
+    sigma, log_pdf, z, w, stacked = (
+        a.copy() for a in (parts.sigma, parts.log_pdf, parts.z, parts.w, parts.stacked))
+    for idx, cand_mu, cand, rows in taken:
+        mu[idx], sigma[idx], log_pdf[idx] = cand_mu, cand.sigma[rows], cand.log_pdf[rows]
+        for a, b in ((z, cand.z), (w, cand.w), (stacked, cand.stacked)):
+            a[:, idx] = b[:, rows]
+    return mu, _Parts(sigma, log_pdf, z, w, stacked[z.shape[0]:], stacked)
+
+
+def _row_dots(a, b):
+    """The (s,) dot products of the rows of (s, k) ``a`` and ``b``, each the BLAS dot
+    that ``a[i] @ b[i]`` would give."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 @lru_cache(maxsize=None)
@@ -157,13 +194,15 @@ def _correction_index(p):
 
 
 def _weighted_obj_derivs(resp, parts):
-    """Objective, gradient and Hessian of the M-step in (mu, log sigma).
+    """The (s,) objectives, (s, 2p) gradients and (s, 2p, 2p) Hessians of the M-step
+    in (mu, log sigma), one per component.
 
     The objective is the responsibility-weighted mean log density, which has
     the same maximizer as the weighted sum and keeps the natural Newton step
     near unity regardless of the dataset size.  Parameters are ordered
-    (mu_1, ..., mu_p, log sigma_1, ..., log sigma_p).  ``parts`` are the
-    component's ``_component_parts`` at (mu, exp(log sigma)).  With
+    (mu_1, ..., mu_p, log sigma_1, ..., log sigma_p).  ``resp`` holds the
+    (s, n) responsibilities and ``parts`` the components' ``_component_parts``
+    at (mu, exp(log sigma)).  With
     z = (x - mu)/sigma, w_k = exp(-z_k)/(1 + sum_j exp(-z_j)) and
     g_k = (p+1) w_k - 1, a row's log density has z-gradient g and z-Hessian
     H_z = (p+1)(w w' - diag w), so
@@ -172,29 +211,35 @@ def _weighted_obj_derivs(resp, parts):
 
     with dz_k/dmu_k = -1/sigma_k, dz_k/dlog sigma_k = -z_k,
     d2z_k/dmu_k dlog sigma_k = 1/sigma_k and d2z_k/dlog sigma_k^2 = z_k.
-    J' H_z J is (p+1)(u u' - J' diag(w) J) with u = -J' w.  w, z and z w are
-    (p, n) arrays and u is the stacked (2p, n) [w / sigma; z w] up to sign,
-    so the weighted sum of u u' is one (2p, n) x (n, 2p) product,
-    (stacked * r) @ stacked', and the diagonal terms are (p, n) x (n,)
-    products; no per-row 2p x 2p array is formed.  That product is symmetric
-    only up to rounding; ``_newton_direction`` reads the upper triangle
-    alone, and each cross correction is subtracted from both off-diagonal
-    blocks in one scatter.
+    J' H_z J is (p+1)(u u' - J' diag(w) J) with u = -J' w.  Per component,
+    w, z and z w are (p, n) arrays and u is the stacked (2p, n)
+    [w / sigma; z w] up to sign, so the weighted sum of u u' is one
+    (2p, n) x (n, 2p) product, (stacked * r) @ stacked', and the diagonal
+    terms are (p, n) x (n,) products; no per-row 2p x 2p array is formed.
+    Every product is one batched ``matmul`` over the components, which calls
+    BLAS once per component exactly as the 2-D product would, so on the
+    C-contiguous responsibilities that the E-step gives, a component's
+    derivatives do not depend on which others share the call.
+    The Hessian is symmetric only up to rounding; ``_newton_direction``
+    reads the upper triangle alone, and each cross correction is subtracted
+    from both off-diagonal blocks in one scatter.
     """
-    sigma, log_pdf, z, w, zw, zzw, stacked = parts
-    p = sigma.size
-    total = resp.sum()
-    obj = float(np.dot(resp, log_pdf)) / total
-    rw, rzw, rz, rzzw = w @ resp, zw @ resp, z @ resp, zzw @ resp
+    sigma, log_pdf, z, w, zw, stacked = parts
+    p = sigma.shape[1]
+    total = resp.sum(axis=1)
+    obj = _row_dots(resp, log_pdf) / total
+    rw, rzw, rz, rzzw = (np.matmul(a.transpose(1, 0, 2), resp[:, :, None])[..., 0]
+                         for a in (w, zw, z, zw * z))
+    total = total[:, None]
     rg = (p + 1) * rw - total  # sum_i r_i g_ik
     rzg = (p + 1) * rzw - rz  # sum_i r_i z_ik g_ik
-    grad = -np.concatenate([rg / sigma, rzg + total]) / total
-    hess = (p + 1) * ((stacked * resp) @ stacked.T)
+    grad = -np.concatenate([rg / sigma, rzg + total], axis=1) / total
+    hess = (p + 1) * np.matmul((stacked * resp).transpose(1, 0, 2), stacked.transpose(1, 2, 0))
     cross = ((p + 1) * rzw - rg) / sigma
-    hess[_correction_index(p)] -= np.concatenate(
-        [(p + 1) * rw / sigma**2, cross, (p + 1) * rzzw - rzg, cross]
+    hess[(slice(None),) + _correction_index(p)] -= np.concatenate(
+        [(p + 1) * rw / sigma**2, cross, (p + 1) * rzzw - rzg, cross], axis=1
     )
-    hess /= total
+    hess /= total[:, :, None]
     return obj, grad, hess
 
 
@@ -230,58 +275,78 @@ def _newton_direction(grad, hess):
 
 
 def _ascend(data, resp, mu, parts, floor):
-    """One safeguarded Newton step of the M-step objective in (mu, log sigma).
+    """One safeguarded Newton step of each component's M-step objective in (mu, log sigma).
 
-    ``data`` is coordinate-major, shape (p, n), as ``_component_parts``
-    takes it, and ``parts`` are the component's parts at the start (mu,
-    sigma).  Returns the new mu and its parts, whose ``sigma`` is the new
-    scale; without a step, ``mu`` and ``parts`` themselves.  The direction
-    solves (lam I - H) d = g at the start, where lam is a Levenberg shift
-    added (and doubled) only while -H is not positive definite or not
+    ``data`` is coordinate-major, shape (p, n), as ``_component_parts`` takes
+    it; ``resp`` holds the (s, n) responsibilities, ``mu`` the (s, p)
+    locations and ``parts`` the components' parts at the start (mu, sigma).
+    Returns the new (s, p) mu and its parts, whose ``sigma`` holds the new
+    scales; without any step, ``mu`` and ``parts`` themselves.  Each
+    component's step is the one it would take alone, bit for bit: the
+    derivatives and the trial points are batched over the components, and
+    only the Cholesky solve runs per component.  Component i's direction
+    solves (lam I - H_i) d = g_i at the start, where lam is a Levenberg shift
+    added (and doubled) only while -H_i is not positive definite or not
     finite; a large shift turns d into a scaled gradient step.  The step
-    length is halved from 1 until the objective improves.  A trial scale is
+    length is halved from 1 until the component's objective improves; the
+    components still halving form a shrinking set, and each round's trial
+    points are one ``_component_parts`` call.  A trial scale is
     max(exp(log sigma), ``floor``) (p,): a step that points below the floor
     is projected onto it, not refused, so a scale on the floor does not
     stall the step in mu.  A trial point gets its parts only, which the
     E-step and the next M-step read; derivatives there would be wasted, as
     the next M-step has new responsibilities.  Only an improving step is
-    taken, so the objective never decreases and the observed log-likelihood
-    stays monotone (generalized EM).  No step is taken when the predicted
-    gain g'd/2 is below the objective's rounding error (or, before solving,
-    when the gradient norm is below NEWTON_GTOL), or when no step length
+    taken, so no objective decreases and the observed log-likelihood stays
+    monotone (generalized EM).  A component takes no step when its predicted
+    gain g'd/2 is below its objective's rounding error (or, before solving,
+    when its gradient norm is below NEWTON_GTOL), or when no step length
     down to 2**-60 improves.  A component whose responsibilities are all
     exactly 0 has the objective 0/0, so the gradient check stops it at once
     and it keeps its (mu, sigma).
     """
-    p = mu.size
+    s, p = mu.shape
     # Typical rounding error of a mean of n terms: a smaller gain cannot be
     # told apart from noise, and searching for it only burns evaluations.
     noise = np.finfo(float).eps * np.sqrt(data.shape[1])
     # Trial points may overflow; a non-finite objective is never accepted.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         obj, grad, hess = _weighted_obj_derivs(resp, parts)
-        if not np.sqrt(grad @ grad) >= NEWTON_GTOL:
-            return mu, parts
-        d = _newton_direction(grad, hess)
-        if not 0.5 * (grad @ d) > noise * max(1.0, abs(obj)):
-            return mu, parts
-        theta, total = np.concatenate([mu, np.log(parts.sigma)]), resp.sum()
+        d = np.zeros_like(grad)
+        steps = np.sqrt(_row_dots(grad, grad)) >= NEWTON_GTOL
+        for i in np.flatnonzero(steps):
+            d[i] = _newton_direction(grad[i], hess[i])
+        # fmax, like max(1.0, |obj|), takes 1 over a NaN objective.
+        steps &= 0.5 * _row_dots(grad, d) > noise * np.fmax(1.0, np.abs(obj))
+        theta, total = np.concatenate([mu, np.log(parts.sigma)], axis=1), resp.sum(axis=1)
+        halving, taken = np.flatnonzero(steps), []
         for k in range(61):
-            cand = theta + 0.5**k * d
-            cand_parts = _component_parts(data, cand[:p], np.maximum(np.exp(cand[p:]), floor))
-            if float(np.dot(resp, cand_parts.log_pdf)) / total > obj:
-                return cand[:p], cand_parts
-    return mu, parts
+            if not halving.size:
+                break
+            cand = theta[halving] + 0.5**k * d[halving]
+            cand_parts = _component_parts(data, cand[:, :p], np.maximum(np.exp(cand[:, p:]), floor))
+            better = _row_dots(resp[halving], cand_parts.log_pdf) / total[halving] > obj[halving]
+            if better.all() and halving.size == s:
+                return cand[:, :p], cand_parts
+            if better.any():
+                taken.append((halving[better], cand[better, :p], cand_parts, better))
+            halving = halving[~better]
+    return _replace(mu, parts, taken) if taken else (mu, parts)
 
 
 def _moment_scale(data):
-    """Moment-rule scale std * sqrt(3)/pi of each coordinate of (n, p) ``data``, at least 1e-6."""
+    """Moment-rule scale std * sqrt(3)/pi of each coordinate of (n, p) ``data``; 1e-6 where
+    that is 0, as for a constant coordinate.
+
+    A coordinate of small but nonzero spread keeps its own scale, so the scale floor
+    ``SCALE_FLOOR * _moment_scale`` stays relative to the data at any magnitude.
+    """
     # Scaling each column by a power of two near its largest |x| keeps the
     # squared deviations finite and, barring subnormal entries, leaves the
     # result bit-for-bit unchanged.
     _, exponent = np.frexp(np.max(np.abs(data), axis=0))
     spread = np.ldexp(np.ldexp(data, -exponent).std(axis=0), exponent)
-    return np.maximum(spread * LOGISTIC_SD_FACTOR, 1e-6)
+    scale = spread * LOGISTIC_SD_FACTOR
+    return np.where(scale > 0.0, scale, 1e-6)
 
 
 def _distinct_rows(data):
@@ -318,72 +383,78 @@ def init_params(data, s, seed, strategy="quantile"):
     return _model(np.full(s, 1.0 / s), centers, scale)
 
 
-def _e_step(data, model, log_pdfs=None):
+def _e_step(weights, log_pdfs):
     """Responsibilities, log-likelihood and number of underflowed rows.
 
-    ``data`` is coordinate-major, shape (p, ...), and the responsibilities
-    are component-major, shape (s, ...), like ``_weighted_log_pdfs``, which
-    also takes ``log_pdfs``.  A row's log-likelihood is ``log_sum_exp`` of its
-    weighted log densities, as in ``mixture_log_pdf``, and its
-    responsibilities are that kernel's shifted exponentials divided by their
-    sum, so no second exponential is taken.  A row at which every component
-    density underflows to zero gets uniform responsibilities and adds -1e300
-    to the log-likelihood, which keeps EM traces finite and comparable.
+    ``weights`` are the (s,) mixture weights and ``log_pdfs`` the (s, ...)
+    component log densities, component-major like the responsibilities and
+    like ``_weighted_log_pdfs``, which combines the two.  A row's
+    log-likelihood is ``log_sum_exp`` of its weighted log densities, as in
+    ``mixture_log_pdf``, and its responsibilities are that kernel's shifted
+    exponentials divided by their sum, so no second exponential is taken.  A
+    row at which every component density underflows to zero gets uniform
+    responsibilities and adds -1e300 to the log-likelihood, which keeps EM
+    traces finite and comparable.
     """
     with np.errstate(over="ignore", divide="ignore"):
-        row_ll, resp, total = log_sum_exp(_weighted_log_pdfs(data, model, log_pdfs))
+        row_ll, resp, total = log_sum_exp(_weighted_log_pdfs(weights, log_pdfs))
     bad = ~np.isfinite(row_ll)
     if bad.any():
-        resp[:, bad] = np.exp(-np.log(model.s))
+        resp[:, bad] = np.exp(-np.log(weights.size))
         total[bad] = 1.0
         row_ll[bad] = -1e300
     resp /= total
     return resp, float(row_ll.sum()), int(bad.sum())
 
 
-def _em_step(coords, model, parts, resp, floor):
-    """One EM step from ``model`` and its E-step ``resp``: (model, parts, resp, log-likelihood).
+# A point of an EM run: the (s,) weights a MixtureModel of it stores, the (s, p) mu,
+# the components' ``_Parts`` (whose sigma is the (s, p) sigma), and its E-step's (s, n)
+# responsibilities and log-likelihood.
+_State = namedtuple("_State", "weights mu parts resp loglik")
 
-    ``parts[i]`` are component i's ``_Parts`` at (mu[i], sigma[i]).  Component i's Newton step
-    starts from them, so parts are computed only at trial points, and the E-step reads its log
-    densities from them.  No scale goes below ``floor`` (p,).
+
+def _em_step(coords, state, floor):
+    """The ``_State`` one EM step after ``state``: the M-step from its responsibilities,
+    then the E-step at the result.
+
+    The Newton steps start from the state's parts, so parts are computed only at trial
+    points, and the E-step reads its log densities from them.  No scale goes below
+    ``floor`` (p,).
     """
-    mu, sigma, parts = model._mu.copy(), model._sigma.copy(), list(parts)
-    for i in range(model.s):
-        mu[i], parts[i] = _ascend(coords, resp[i], mu[i], parts[i], floor)
-        sigma[i] = parts[i].sigma
-    weights = resp.sum(axis=1) / coords.shape[1]
-    # MixtureModel renormalises the weights again; fits depend on that rounding.
-    model = _model(np.maximum(weights / weights.sum(), WEIGHT_FLOOR), mu, sigma)
-    resp, loglik, _ = _e_step(coords, model, [pt.log_pdf for pt in parts])
-    return model, parts, resp, loglik
+    mu, parts = _ascend(coords, state.resp, state.mu, state.parts, floor)
+    # Renormalised twice, as a MixtureModel built from the once-renormalised weights would
+    # store them; fits depend on that rounding.
+    weights = _renormalised(_renormalised(state.resp.sum(axis=1) / coords.shape[1]))
+    resp, loglik, _ = _e_step(weights, parts.log_pdf)
+    return _State(weights, mu, parts, resp, loglik)
 
 
-def _parts_e_step(coords, model):
-    """The components' ``_Parts`` at ``model`` and its E-step: (parts, resp, log-likelihood)."""
+def _parts_e_step(coords, weights, mu, sigma):
+    """The ``_State`` of the components with (s, p) ``mu`` and ``sigma`` and the (s,)
+    ``weights``."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        parts = [_component_parts(coords, m, sg) for m, sg in zip(model._mu, model._sigma)]
-    resp, loglik, _ = _e_step(coords, model, [pt.log_pdf for pt in parts])
-    return parts, resp, loglik
+        parts = _component_parts(coords, mu, sigma)
+    resp, loglik, _ = _e_step(weights, parts.log_pdf)
+    return _State(weights, mu, parts, resp, loglik)
 
 
-def _theta(model):
-    """SQUAREM's coordinates of ``model``: its log weights, mu and log sigma in one vector."""
-    return np.concatenate([np.log(model.weights), model._mu.ravel(), np.log(model._sigma).ravel()])
+def _theta(state):
+    """SQUAREM's coordinates of ``state``: its log weights, mu and log sigma in one vector."""
+    return np.concatenate([np.log(state.weights), state.mu.ravel(), np.log(state.parts.sigma).ravel()])
 
 
 def _theta_model(theta, s, p):
-    """The model at finite ``theta``, built as ``_em_step`` builds one: the weights are the
-    softmax of the log weights, renormalised and floored at WEIGHT_FLOOR."""
+    """The (weights, mu, sigma) at finite ``theta``; a scale that overflows raises the
+    ValueError of ``_checked_rows``.  The weights are the softmax of the log weights,
+    renormalised twice as ``_em_step`` renormalises its weights."""
     log_w, mu, log_sigma = np.split(theta, [s, s + s * p])
     weights = np.exp(log_w - log_w.max())
-    # Divided by the sum twice here and once more by MixtureModel: extrapolated fits depend on
-    # that rounding, so none of the three divisions is redundant.
-    weights = weights / weights.sum()
-    weights = np.maximum(weights / weights.sum(), WEIGHT_FLOOR)
     with np.errstate(over="ignore"):
         sigma = np.exp(log_sigma)
-    return _model(weights, mu.reshape(s, p), sigma.reshape(s, p))
+    mu, sigma = _checked_rows(mu.reshape(s, p), sigma.reshape(s, p))
+    # Divided by the sum three times: extrapolated fits depend on that rounding, so none of
+    # the divisions is redundant.
+    return _renormalised(_renormalised(weights / weights.sum())), mu, sigma
 
 
 def _steplength(r, v):
@@ -393,47 +464,48 @@ def _steplength(r, v):
 
 
 def _extrapolate(coords, theta0, theta1, state, floor):
-    """The state (model, parts, resp, log-likelihood) at the SQUAREM point of the cycle
-    ``theta0`` -> ``theta1`` -> ``state``, or ``state`` itself where that point is not kept;
-    a point with a scale below ``floor`` (p,) is not."""
-    model, _, _, loglik = state
-    r, v = theta1 - theta0, _theta(model) - 2.0 * theta1 + theta0
+    """The ``_State`` at the SQUAREM point of the cycle ``theta0`` -> ``theta1`` -> ``state``,
+    or ``state`` itself where that point is not kept; a point with a scale below ``floor``
+    (p,) is not."""
+    r, v = theta1 - theta0, _theta(state) - 2.0 * theta1 + theta0
     with np.errstate(over="ignore", invalid="ignore"):
         alpha = _steplength(r, v)
         theta = theta0 - 2.0 * alpha * r + alpha * alpha * v
     if alpha == -1.0 or not np.isfinite(theta).all():
         return state
     try:
-        cand = _theta_model(theta, model.s, model.p)
+        weights, mu, sigma = _theta_model(theta, *state.mu.shape)
     except ValueError:
         return state
-    if not (cand._sigma >= floor).all():
+    if not (sigma >= floor).all():
         return state
-    parts, resp, cand_loglik = _parts_e_step(coords, cand)
-    if cand_loglik >= loglik and np.isfinite(cand_loglik):
-        return cand, parts, resp, cand_loglik
+    cand = _parts_e_step(coords, weights, mu, sigma)
+    if cand.loglik >= state.loglik and np.isfinite(cand.loglik):
+        return cand
     return state
 
 
 def _em_single(data, config, seed, strategy, floor):
     """One EM run, (model, trace, converged), with every scale at least ``floor`` (p,).
 
-    Every second step ends a SQUAREM cycle, which ``_extrapolate`` closes unless the cap is reached.
+    The run's state is arrays (``_State``); its model is built once, at the end.  Every
+    second step ends a SQUAREM cycle, which ``_extrapolate`` closes unless the cap is reached.
     """
-    model = init_params(data, config.s, seed, strategy)
+    start = init_params(data, config.s, seed, strategy)
     coords = _coordinate_major(data)
-    parts, resp, loglik = _parts_e_step(coords, model)
-    trace, thetas = [loglik], []
+    state = _parts_e_step(coords, start.weights, start._mu, start._sigma)
+    trace, thetas, converged = [state.loglik], [], False
     for it in range(config.max_iter):
-        thetas.append(_theta(model))
-        model, parts, resp, loglik = _em_step(coords, model, parts, resp, floor)
-        trace.append(loglik)
-        if loglik - trace[-2] < REL_TOL * max(1.0, abs(loglik)):
-            return model, np.asarray(trace), True
+        thetas.append(_theta(state))
+        state = _em_step(coords, state, floor)
+        trace.append(state.loglik)
+        if state.loglik - trace[-2] < REL_TOL * max(1.0, abs(state.loglik)):
+            converged = True
+            break
         if len(thetas) == 2 and it + 1 < config.max_iter:
-            model, parts, resp, loglik = _extrapolate(coords, *thetas, (model, parts, resp, loglik), floor)
+            state = _extrapolate(coords, *thetas, state, floor)
             thetas = []
-    return model, np.asarray(trace), False
+    return _stored_model(state.weights, state.mu, state.parts.sigma), np.asarray(trace), converged
 
 
 def em_fit(data, config):

@@ -4,8 +4,10 @@ A mixture is an (s,) weight vector on the simplex plus s components of common
 dimension p, stacked as (s, p) location and scale arrays whose row i is
 component i.  A ``MixtureModel`` stores these three arrays and nothing else;
 the package builds them through ``_model`` and reads mixtures through them.
-The kernels take one call per component; the equality grids of ``identifiability``
-broadcast over s, in blocks that bound each temporary.  Evaluation functions accept
+The evaluation kernels take one call per component, which at p = s = 3 and a
+block of 2**14 rows is faster and holds less memory than one call broadcast over
+s; EM's M-step and the equality grids of ``identifiability`` broadcast over s,
+the grids in blocks that bound each temporary.  Evaluation functions accept
 points shaped (..., p) like the single-component ones in :mod:`logimix.mld`.
 """
 
@@ -51,7 +53,7 @@ class MixtureModel:
 
     def __init__(self, weights, components):
         _, mu, sigma = _stack_components(components)
-        _fill(self, weights, mu, sigma)
+        _fill(self, _renormalised(_checked_weights(weights, mu.shape[0])), mu, sigma)
 
     @cached_property
     def components(self):
@@ -66,33 +68,41 @@ class MixtureModel:
         return self._mu.shape[0]
 
 
-def _fill(model, weights, mu, sigma):
-    """Check the weights against the checked, read-only (s, p) ``mu`` and store all three in
-    ``model``, which is returned; both ways to build a MixtureModel end here."""
-    w = np.atleast_1d(np.asarray(weights, dtype=float))
+def _renormalised(weights):
+    """``weights`` divided by their sum and floored at WEIGHT_FLOOR.
+
+    Floored after the division, so that every result passes ``_checked_weights`` again.
+    """
+    return np.maximum(weights / weights.sum(), WEIGHT_FLOOR)
+
+
+def _checked_weights(weights, s):
+    """``weights`` as a new (s,) float array; ValueError unless they lie in
+    [WEIGHT_FLOOR, 1] and sum to 1 within WEIGHT_SUM_TOL."""
+    w = np.array(weights, dtype=float, ndmin=1)
     if w.ndim != 1:
         raise ValueError("weights must be a 1-D vector")
-    if mu.shape[0] != w.size:
-        raise ValueError("got %d weights for %d components" % (w.size, mu.shape[0]))
+    if s != w.size:
+        raise ValueError("got %d weights for %d components" % (w.size, s))
     if not np.isfinite(w).all() or (w < WEIGHT_FLOOR).any() or (w > 1.0).any():
         raise ValueError("weights must lie in [%g, 1]" % WEIGHT_FLOOR)
     total = w.sum()
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise ValueError("weights sum to %.17g, not 1" % total)
-    # Floored after the division, so that every stored weight passes this check again.
-    w = np.maximum(w / total, WEIGHT_FLOOR)
-    w.setflags(write=False)
-    vars(model).update(weights=w, _mu=mu, _sigma=sigma)  # past the frozen __setattr__
+    return w
+
+
+def _fill(model, weights, mu, sigma):
+    """Store the (s,) ``weights``, made read-only, and the checked, read-only (s, p) ``mu``
+    and ``sigma`` in ``model``, which is returned."""
+    weights.setflags(write=False)
+    vars(model).update(weights=weights, _mu=mu, _sigma=sigma)  # past the frozen __setattr__
     return model
 
 
-def _model(weights, mu, sigma):
-    """MixtureModel whose component i has row i of (s, p) ``mu`` and ``sigma``; a (p,)
-    ``sigma`` is shared by every component.
-
-    The arrays are copied and checked as ``MldParams`` checks each row, with its
-    messages, and the weights by ``_fill``, as for ``MixtureModel(weights, components)``.
-    """
+def _checked_rows(mu, sigma):
+    """Read-only copies of (s, p) ``mu`` and of ``sigma``, broadcast to its shape, checked
+    as ``MldParams`` checks each row, with its messages."""
     mu = np.array(mu, dtype=float)
     sigma = np.array(np.broadcast_to(sigma, mu.shape), dtype=float)
     if not np.isfinite(mu).all():
@@ -101,7 +111,30 @@ def _model(weights, mu, sigma):
         raise ValueError("sigma must be finite and strictly positive")
     mu.setflags(write=False)
     sigma.setflags(write=False)
+    return mu, sigma
+
+
+def _model(weights, mu, sigma):
+    """MixtureModel whose component i has row i of (s, p) ``mu`` and ``sigma``; a (p,)
+    ``sigma`` is shared by every component.
+
+    The arrays are checked by ``_checked_rows``, then the weights by
+    ``_checked_weights``, and the model stores the weights ``_renormalised``, as
+    ``MixtureModel(weights, components)`` does.
+    """
+    mu, sigma = _checked_rows(mu, sigma)
+    weights = _renormalised(_checked_weights(weights, mu.shape[0]))
     return _fill(MixtureModel.__new__(MixtureModel), weights, mu, sigma)
+
+
+def _stored_model(weights, mu, sigma):
+    """``_model`` for weights that are already ``_renormalised``: they are checked, then
+    stored as they are, where ``_model`` would renormalise them once more.
+
+    EM builds its result here, so the model keeps the weights its last E-step used.
+    """
+    mu, sigma = _checked_rows(mu, sigma)
+    return _fill(MixtureModel.__new__(MixtureModel), _checked_weights(weights, mu.shape[0]), mu, sigma)
 
 
 def mixture_cdf(x, model):
@@ -112,24 +145,30 @@ def mixture_cdf(x, model):
     return _scalar_or_array(np.clip(out, 0.0, 1.0))
 
 
-def _weighted_log_pdfs(x, model, log_pdfs=None):
-    """log pi_i + log l_i(x) for validated coordinate-major points x (p, ...).
+def _component_log_pdfs(x, model):
+    """The (s, ...) log densities of the components at validated coordinate-major points
+    x (p, ...), one ``_log_pdf_parts`` call per component."""
+    out = np.empty((model.s,) + x.shape[1:])
+    for i, (mu, sigma) in enumerate(zip(model._mu, model._sigma)):
+        out[i] = _log_pdf_parts(x, mu, sigma)[0]
+    return out
 
-    The result is component-major, shape (s, ...).  ``mixture_log_pdf`` and
-    the EM E-step both reduce it over its leading axis with ``log_sum_exp``,
-    so the public log-likelihood and the EM trace are one computation.
-    ``log_pdfs``, when given, are the components' log densities at x, which
-    EM keeps from its M-step.
+
+def _weighted_log_pdfs(weights, log_pdfs):
+    """log pi_i + log l_i(x) from the (s,) ``weights`` and the (s, ...) component
+    ``log_pdfs``, component-major like them.
+
+    ``mixture_log_pdf`` and the EM E-step both reduce it over its leading axis
+    with ``log_sum_exp``, so the public log-likelihood and the EM trace are one
+    computation.
     """
-    if log_pdfs is None:
-        log_pdfs = (_log_pdf_parts(x, mu, sigma)[0] for mu, sigma in zip(model._mu, model._sigma))
-    return np.stack([np.log(w) + lp for w, lp in zip(model.weights, log_pdfs)])
+    return np.log(weights).reshape(weights.shape + (1,) * (log_pdfs.ndim - 1)) + log_pdfs
 
 
 def mixture_log_pdf(x, model):
     """log sum_i pi_i l_i(x), via log-sum-exp over components."""
     x = _coordinate_major(_as_points(x, model.p))
-    lp = _weighted_log_pdfs(x, model)
+    lp = _weighted_log_pdfs(model.weights, _component_log_pdfs(x, model))
     with np.errstate(divide="ignore"):  # a point where every log density is -inf
         return _scalar_or_array(log_sum_exp(lp)[0])
 

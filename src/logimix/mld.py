@@ -128,10 +128,17 @@ def _coordinate_major(x):
 def _log_pdf_parts(x, mu, sigma):
     """Log density at coordinate-major points x of shape (p, ...), without input checks.
 
-    This is the only place the MLD log density is written.  It also returns
-    the (p, ...) standardized residuals z and the (...) log(1 + sum_k
-    exp(-z_k)), from which the M-step's derivatives are built.  The sum of z
-    runs over the leading axis left to right, as ``log1p_sum_exp_neg`` does.
+    This is the only place the MLD log density is written.  ``mu`` and
+    ``sigma`` have shape (p, ...) too, with at most x's number of axes, and
+    broadcast against x once trailing axes of length 1 are added: a (p,)
+    component against (p, ...) points, or the (p, s) locations and scales of s
+    components against points (p, 1, n), which gives their (s, n) log
+    densities in one call.  It also returns the standardized residuals z,
+    shape (p, ...) broadcast, and log(1 + sum_k exp(-z_k)), from which the
+    M-step's derivatives are built.  The sums of z and of log sigma run over
+    the leading axis left to right, as ``log1p_sum_exp_neg`` does; for p <= 7
+    that is the order of numpy's own sum of a length-p vector, so one
+    component's values do not depend on which call gave them.
 
     Far left of the mode, near z_k = -1e308, sum_k z_k and (p + 1) log_denom
     overflow and their difference is not finite; a residual may itself
@@ -143,16 +150,17 @@ def _log_pdf_parts(x, mu, sigma):
     -inf limit.  Flagging costs no pass over the points.
     """
     p = x.shape[0]
-    shape = (p,) + (1,) * (x.ndim - 1)
-    log_sigma = np.log(sigma).sum()
+    shape = mu.shape + (1,) * (x.ndim - mu.ndim)
+    mu, sigma = mu.reshape(shape), sigma.reshape(shape)
+    log_sigma = reduce(np.add, np.log(sigma))
     try:
         with np.errstate(over="raise", invalid="raise"):
-            z = (x - mu.reshape(shape)) / sigma.reshape(shape)
+            z = (x - mu) / sigma
             log_denom = log1p_sum_exp_neg(z)
             return lgamma(p + 1) - reduce(np.add, z) - (p + 1) * log_denom - log_sigma, z, log_denom
     except FloatingPointError:
         with np.errstate(over="ignore", invalid="ignore"):
-            z = (x - mu.reshape(shape)) / sigma.reshape(shape)
+            z = (x - mu) / sigma
             log_denom = log1p_sum_exp_neg(z)
             direct = lgamma(p + 1) - reduce(np.add, z) - (p + 1) * log_denom - log_sigma
             tail = lgamma(p + 1) - reduce(np.add, z + log_denom) - log_denom - log_sigma

@@ -6,7 +6,7 @@ import logimix as lm
 from logimix import estimation
 from logimix._util import rng_from_seed
 from logimix.estimation import _ascend, _component_parts, _newton_direction, _weighted_obj_derivs
-from logimix.mixture import WEIGHT_FLOOR, _model
+from logimix.mixture import WEIGHT_FLOOR, _model, _stored_model
 from logimix.mld import _coordinate_major
 
 from oracles import fd_log_pdf_gradients
@@ -128,6 +128,15 @@ class TestGradients:
                 scale = max(abs(fd_ls[k]), 1e-3)
                 assert abs(g_ls[k] - fd_ls[k]) / scale < 1e-6
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("x, p", [(-1e308, 1), ([-1e200, 3.0], 2)])
+    def test_far_left_point_is_exact_and_silent(self, x, p):
+        # There w_1 = 1, so d/d mu_1 = -p/sigma_1 and d/d log sigma_1 = -p z_1 - 1; z^2 w
+        # overflows there, and the gradient does not use it.
+        g_mu, g_ls = lm.component_log_pdf_grad(x, lm.MldParams(np.zeros(p), np.ones(p)))
+        assert g_mu[0] == -p and g_ls[0] == -p * np.atleast_1d(x)[0] - 1.0
+        assert np.isfinite(g_mu).all() and np.isfinite(g_ls).all()
+
 
 class TestInit:
     def test_single_component_quantile_is_median(self):
@@ -191,6 +200,11 @@ def _objective(data, resp, mu, sigma):
     return float(np.dot(resp, lm.mld_log_pdf(data, lm.MldParams(mu, sigma)))) / resp.sum()
 
 
+def _one_component(data, mu, sigma):
+    """``_component_parts`` of one component at (n, p) ``data``: a stack of one."""
+    return _component_parts(data.T, mu[None], sigma[None])
+
+
 def _newton_case(p, seed):
     rng = np.random.default_rng(seed)
     data = rng.logistic(size=(400, p)) * rng.uniform(0.5, 2.0, p) + rng.uniform(-1, 1, p)
@@ -203,7 +217,8 @@ class TestNewtonMStep:
     def test_derivatives_match_finite_differences(self, p):
         data, resp, mu, log_sigma = _newton_case(p, 40 + p)
         theta = np.concatenate([mu, log_sigma])
-        obj, grad, hess = _weighted_obj_derivs(resp, _component_parts(data.T, mu, np.exp(log_sigma)))
+        parts = _one_component(data, mu, np.exp(log_sigma))
+        obj, grad, hess = (a[0] for a in _weighted_obj_derivs(resp[None], parts))
 
         def f(t):
             return _mean_log_pdf(data, resp, t[:p], t[p:])
@@ -226,31 +241,31 @@ class TestNewtonMStep:
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_ascent_never_lowers_objective(self, p):
         data, resp, mu, log_sigma = _newton_case(p, 50 + p)
-        parts = _component_parts(data.T, mu, np.exp(log_sigma + 1.5))
-        values = [_objective(data, resp, mu, parts.sigma)]
+        mu, parts = mu[None], _one_component(data, mu, np.exp(log_sigma + 1.5))
+        values = [_objective(data, resp, mu[0], parts.sigma[0])]
         for _ in range(7):
-            mu, parts = _ascend(data.T, resp, mu, parts, scale_floor(data))
-            values.append(_objective(data, resp, mu, parts.sigma))
+            mu, parts = _ascend(data.T, resp[None], mu, parts, scale_floor(data))
+            values.append(_objective(data, resp, mu[0], parts.sigma[0]))
         assert np.all(np.diff(values) >= 0.0)
 
     def test_far_too_wide_start_reaches_stationarity(self):
         data, _ = lm.sample_mixture(
             lm.MixtureModel([1.0], (lm.MldParams([0.7, -1.0], [1.4, 0.6]),)), 500, seed=41
         )
-        resp = np.ones(data.shape[0])
-        mu, parts = np.zeros(2), _component_parts(data.T, np.zeros(2), np.array([140.0, 60.0]))
+        resp = np.ones((1, data.shape[0]))
+        mu, parts = np.zeros((1, 2)), _one_component(data, np.zeros(2), np.array([140.0, 60.0]))
         for _ in range(50):
             mu, parts = _ascend(data.T, resp, mu, parts, scale_floor(data))
-        g_mu, g_ls = lm.component_log_pdf_grad(data, lm.MldParams(mu, parts.sigma))
+        g_mu, g_ls = lm.component_log_pdf_grad(data, lm.MldParams(mu[0], parts.sigma[0]))
         g_mu, g_ls = g_mu.mean(axis=0), g_ls.mean(axis=0)
         assert np.sqrt(g_mu @ g_mu + g_ls @ g_ls) < 1e-6
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_ascent_returns_the_parts_of_its_point(self, p):
         data, resp, mu, log_sigma = _newton_case(p, 60 + p)
-        parts = _component_parts(data.T, mu, np.exp(log_sigma + 1.0))
+        mu, parts = mu[None], _one_component(data, mu, np.exp(log_sigma + 1.0))
         for _ in range(5):
-            mu, parts = _ascend(data.T, resp, mu, parts, scale_floor(data))
+            mu, parts = _ascend(data.T, resp[None], mu, parts, scale_floor(data))
             fresh = _component_parts(data.T, mu, parts.sigma)
             for name, got, want in zip(parts._fields, parts, fresh):
                 assert np.array_equal(got, want), name
@@ -263,13 +278,76 @@ class TestNewtonMStep:
         data = np.random.default_rng(64).logistic(scale=0.01, size=(200, p))
         resp = np.ones(200)
         mu, floor = np.full(p, 0.02), np.full(p, 0.05)
-        parts = _component_parts(data.T, mu, floor.copy())
-        _, grad, hess = _weighted_obj_derivs(resp, parts)
-        assert (_newton_direction(grad, hess)[p:] < 0.0).all()
-        new_mu, new_parts = _ascend(data.T, resp, mu, parts, floor)
-        assert (new_mu != mu).all()
-        assert np.array_equal(new_parts.sigma, floor)
-        assert _objective(data, resp, new_mu, floor) > _objective(data, resp, mu, floor)
+        parts = _one_component(data, mu, floor.copy())
+        _, grad, hess = _weighted_obj_derivs(resp[None], parts)
+        assert (_newton_direction(grad[0], hess[0])[p:] < 0.0).all()
+        new_mu, new_parts = _ascend(data.T, resp[None], mu[None], parts, floor)
+        assert (new_mu[0] != mu).all()
+        assert np.array_equal(new_parts.sigma[0], floor)
+        assert _objective(data, resp, new_mu[0], floor) > _objective(data, resp, mu, floor)
+
+
+class TestBatchedStep:
+    """One ``_ascend`` call on s stacked components against s calls on one each."""
+
+    def assert_batch_equals_single_calls(self, data, resp, mu, sigma, floor):
+        # C-contiguous, as the E-step gives them: BLAS rounds a strided dot differently.
+        coords, resp = np.ascontiguousarray(data.T), np.ascontiguousarray(resp)
+        parts = _component_parts(coords, mu, sigma)
+        new_mu, new_parts = _ascend(coords, resp, mu, parts, floor)
+        with np.errstate(invalid="ignore", divide="ignore"):  # 0/0 objectives
+            batch = _weighted_obj_derivs(resp, parts)
+        for i in range(mu.shape[0]):
+            one = _component_parts(coords, mu[i:i + 1], sigma[i:i + 1])
+            for got, want in zip(parts, one):
+                assert np.array_equal(got[..., i:i + 1, :] if got.ndim == 3 else got[i:i + 1], want)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                one_derivs = _weighted_obj_derivs(resp[i:i + 1], one)
+            for got, want in zip(batch, one_derivs):
+                assert np.array_equal(got[i:i + 1], want, equal_nan=True)
+            one_mu, one_parts = _ascend(coords, resp[i:i + 1], mu[i:i + 1], one, floor)
+            assert np.array_equal(new_mu[i:i + 1], one_mu)
+            for got, want in zip(new_parts, one_parts):
+                assert np.array_equal(got[..., i:i + 1, :] if got.ndim == 3 else got[i:i + 1], want)
+        return batch, new_mu, new_parts
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_every_path_of_the_step_matches_one_component_calls(self):
+        # Rows of scale 0.01 around 0 and of scale 1 around 10, and a floor of 0.05.
+        # Each component's responsibilities pick its rows:
+        #   0: none, exactly 0, so its objective is 0/0 and it takes no step;
+        #   1: the far rows from (8, 0.2), where -H is not positive definite (Levenberg);
+        #   2: the far rows from (9.5, 30), whose full step does not improve, so it halves;
+        #   3: the far rows from (10, 1), a full Newton step;
+        #   4: the near rows from (0.02, 0.05), whose step lowers sigma onto the floor.
+        rng = np.random.default_rng(5)
+        data = np.concatenate([rng.logistic(scale=0.01, size=150), 10 + rng.logistic(size=150)])[:, None]
+        near = (data[:, 0] < 5).astype(float)
+        resp = np.stack([np.zeros(300), 1 - near, 1 - near, 1 - near, near])
+        mu = np.array([[5.0], [8.0], [9.5], [10.0], [0.02]])
+        sigma = np.array([[1.0], [0.2], [30.0], [1.0], [0.05]])
+        floor = np.array([0.05])
+        derivs, new_mu, new_parts = self.assert_batch_equals_single_calls(data, resp, mu, sigma, floor)
+        _, grad, hess = derivs
+        # The full Newton step of each component, as (mu, sigma).
+        full = np.concatenate([mu, np.log(sigma)], axis=1) + np.array(
+            [_newton_direction(g, h) if np.isfinite(g).all() else np.zeros(2) for g, h in zip(grad, hess)])
+        full[:, 1] = np.exp(full[:, 1])
+        new = np.concatenate([new_mu, new_parts.sigma], axis=1)
+        start = np.concatenate([mu, sigma], axis=1)
+        assert np.array_equal(new[0], start[0])
+        assert np.linalg.eigvalsh(-hess[1]).min() < 0.0
+        assert np.array_equal(new[1], full[1]) and np.array_equal(new[3], full[3])
+        assert (new[2] != start[2]).all() and (new[2] != full[2]).all()
+        assert new[4, 0] != start[4, 0] and new[4, 1] == floor[0] > full[4, 1]
+
+    @pytest.mark.parametrize("p, s", [(2, 3), (3, 2)])
+    def test_random_components_match_one_component_calls(self, p, s):
+        rng = np.random.default_rng(70 + p)
+        data = rng.logistic(size=(400, p)) * rng.uniform(0.5, 2.0, p) + rng.uniform(-1, 1, p)
+        resp = rng.dirichlet(np.ones(s), size=400).T
+        mu, sigma = rng.normal(size=(s, p)), np.exp(rng.normal(scale=0.5, size=(s, p)))
+        self.assert_batch_equals_single_calls(data, resp, mu, sigma, scale_floor(data))
 
 
 def _cho_levenberg_direction(grad, hess):
@@ -417,9 +495,9 @@ class TestEmFit:
         data = np.random.default_rng(62).logistic(size=(300, 1))
         coords = _coordinate_major(data)
         model = _model([0.999, 0.001], [[0.0], [80.0]], 1.0)
-        parts, resp, _ = estimation._parts_e_step(coords, model)
-        assert 0.0 < resp[1].sum() < 1e-33
-        stepped = estimation._em_step(coords, model, parts, resp, scale_floor(data))[0]
+        state = estimation._parts_e_step(coords, model.weights, model._mu, model._sigma)
+        assert 0.0 < state.resp[1].sum() < 1e-33
+        stepped = _state_model(estimation._em_step(coords, state, scale_floor(data)))
         assert stepped.weights[1] == WEIGHT_FLOOR
         lm.save_model(stepped, tmp_path / "model.json")
         loaded = lm.load_model(tmp_path / "model.json")
@@ -433,16 +511,16 @@ class TestEmFit:
         data = np.random.default_rng(63).logistic(size=(300, 1))
         coords = _coordinate_major(data)
         model = _model([0.5, 0.5], [[0.0], [1e4]], [[1.0], [0.5]])
-        parts, resp, _ = estimation._parts_e_step(coords, model)
-        assert (resp[1] == 0.0).all()
-        stepped = estimation._em_step(coords, model, parts, resp, scale_floor(data))[0]
+        state = estimation._parts_e_step(coords, model.weights, model._mu, model._sigma)
+        assert (state.resp[1] == 0.0).all()
+        stepped = _state_model(estimation._em_step(coords, state, scale_floor(data)))
         assert stepped._mu[1, 0] == 1e4 and stepped._sigma[1, 0] == 0.5
         assert stepped.weights[1] == WEIGHT_FLOOR
         assert stepped._mu[0, 0] != 0.0
 
     def test_extrapolated_weight_below_the_floor_is_floored(self):
-        cand = estimation._theta_model(np.array([0.0, -80.0, 0.0, 5.0, 0.0, 0.0]), 2, 1)
-        assert cand.weights[1] == WEIGHT_FLOOR
+        weights, _, _ = estimation._theta_model(np.array([0.0, -80.0, 0.0, 5.0, 0.0, 0.0]), 2, 1)
+        assert weights[1] == WEIGHT_FLOOR
 
     def test_step_at_the_cap_is_tested_for_convergence(self):
         # This fit converges at its 18th step; a cap of 18 steps must report the same.
@@ -480,6 +558,25 @@ class TestEmFit:
         # Some scale ends within 1e-9 of the floor instead of near the float limit.
         assert (res.model._sigma <= floor * (1 + 1e-9)).any()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_scale_floor_is_relative_to_data_of_any_magnitude(self):
+        # Logistic rows of scale 1 or 3 around -4 or 4.  A fit of x * 2**k equals the fit
+        # of x up to the Jacobian term -n k log 2.  With an absolute 1e-6 clamp in the
+        # moment scale, the floor of small data was 1e-12 at least: from k = -42 down both
+        # scales ended on it, 42 nats lower at k = -42 and 4 884 at k = -60.
+        g = np.random.default_rng(0)
+        x = (g.logistic(size=(400, 1)) * np.where(g.random((400, 1)) < .5, 1, 3)
+             + np.where(g.random((400, 1)) < .5, -4, 4))
+        config = lm.FitConfig(s=2, n_restarts=2, seed=1)
+        want = lm.em_fit(x, config).loglik_trace[-1]
+        for k in range(-60, 61, 6):
+            data = np.ldexp(x, k)
+            res = lm.em_fit(data, config)
+            assert res.converged
+            # The stopping rule leaves each fit within 1e-4 nats of the others.
+            assert res.loglik_trace[-1] + 400 * k * np.log(2.0) == pytest.approx(want, abs=1e-3)
+            assert (res.model._sigma > 1e3 * scale_floor(data)).all()
+
     def test_deterministic_given_seed(self):
         data, _ = lm.sample_mixture(reference_model(), 600, seed=39)
         r1 = lm.em_fit(data, lm.FitConfig(s=2, n_restarts=2, seed=7))
@@ -489,19 +586,24 @@ class TestEmFit:
             assert np.array_equal(a.mu, b.mu) and np.array_equal(a.sigma, b.sigma)
 
 
+def _state_model(state):
+    """The MixtureModel of an EM ``estimation._State``, as ``_em_single`` builds its result."""
+    return _stored_model(state.weights, state.mu, state.parts.sigma)
+
+
 def plain_em(data, config, seed, strategy):
     """``estimation._em_single`` without extrapolation: the start's E-step, then
     ``estimation._em_step`` until the stopping rule or the cap."""
     model = lm.init_params(data, config.s, seed, strategy)
     coords = _coordinate_major(data)
-    parts, resp, loglik = estimation._parts_e_step(coords, model)
-    trace = [loglik]
+    state = estimation._parts_e_step(coords, model.weights, model._mu, model._sigma)
+    trace = [state.loglik]
     for _ in range(config.max_iter):
-        model, parts, resp, loglik = estimation._em_step(coords, model, parts, resp, scale_floor(data))
-        trace.append(loglik)
-        if loglik - trace[-2] < estimation.REL_TOL * max(1.0, abs(loglik)):
-            return model, np.asarray(trace), True
-    return model, np.asarray(trace), False
+        state = estimation._em_step(coords, state, scale_floor(data))
+        trace.append(state.loglik)
+        if state.loglik - trace[-2] < estimation.REL_TOL * max(1.0, abs(state.loglik)):
+            return _state_model(state), np.asarray(trace), True
+    return _state_model(state), np.asarray(trace), False
 
 
 def squarem_inputs(p, s):
@@ -561,12 +663,12 @@ class TestSquarem:
         # raises the log-likelihood; it is kept under a floor below its scale, not above.
         data = 0.01 * np.random.default_rng(62).logistic(size=(300, 1))
         coords = _coordinate_major(data)
-        model0, model1, model2 = (lm.MixtureModel([1.0], (lm.MldParams([0.0], [sg]),))
-                                  for sg in (1.0, 0.5, 0.3))
-        theta0, theta1 = estimation._theta(model0), estimation._theta(model1)
-        state = (model2,) + estimation._parts_e_step(coords, model2)
+        state0, state1, state = (
+            estimation._parts_e_step(coords, np.ones(1), np.zeros((1, 1)), np.full((1, 1), sg))
+            for sg in (1.0, 0.5, 0.3))
+        theta0, theta1 = estimation._theta(state0), estimation._theta(state1)
         kept = estimation._extrapolate(coords, theta0, theta1, state, np.array([0.05]))
-        assert kept[3] > state[3] and 0.05 < kept[0]._sigma[0, 0] < 0.1
+        assert kept.loglik > state.loglik and 0.05 < kept.parts.sigma[0, 0] < 0.1
         assert estimation._extrapolate(coords, theta0, theta1, state, np.array([0.1])) is state
 
     @pytest.mark.parametrize("p, s", SQUAREM_SHAPES)

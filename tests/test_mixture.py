@@ -254,7 +254,8 @@ class TestLogSumExp:
         model = random_model(rng, p, s)
         data, _ = lm.sample_mixture(model, 2000, seed=5)
         data = np.concatenate([data, rng.uniform(-60.0, 60.0, size=(200, p))])
-        resp, _, n_underflow = _e_step(_coordinate_major(data), model)
+        log_pdfs = mixture._component_log_pdfs(_coordinate_major(data), model)
+        resp, _, n_underflow = _e_step(model.weights, log_pdfs)
         assert n_underflow == 0
         assert np.all(np.abs(resp.sum(axis=0) - 1.0) <= s * np.finfo(float).eps)
 

@@ -3,15 +3,20 @@
 Draws the inputs of the fit-ref and fit-batch workloads for one seed through
 ``perfbench/workloads.py`` (read only), runs each workload's CLI commands
 once through ``logimix.cli.run``, and counts the calls of five functions of
-``logimix.estimation``: the E-step (``_e_step``), the per-component Newton
-steps of the M-step (``_ascend``), its derivative evaluations
-(``_weighted_obj_derivs``, taken once per ``_ascend``, at its start), the
-Newton solves (``_newton_direction``) and the component part computations
-(``_component_parts``, one per trial point of a step and per component of
-a start or an extrapolated point).  EM's work is
-deterministic, so these counts are the same on every run of one tree and
-seed, and two trees whose fits must do the same work are checked by running,
-in each checkout,
+``logimix.estimation``: the E-step (``_e_step``), the M-step's Newton steps
+(``_ascend``, one call for all s components), its derivative evaluations
+(``_weighted_obj_derivs``, one call per ``_ascend``, at its start), the
+per-component Newton solves (``_newton_direction``) and the part
+computations (``_component_parts``, one call per round of trial points of a
+step, per start and per extrapolated point).  The three functions that take
+a stack of components also get a count of component evaluations, the summed
+sizes of their stacks (``<name>.components``): one per component per step
+for ``_ascend`` and ``_weighted_obj_derivs``, and one per trial point and
+per component of a start or an extrapolated point for
+``_component_parts``: the number of calls that one call per component
+would make.  EM's work is deterministic, so these counts are the same on
+every run of one tree and seed, and two trees whose fits must do the same
+work are checked by running, in each checkout,
 
     python3 tools/em_counts.py --seed 1 > counts-seed1.txt
 
@@ -41,16 +46,23 @@ from logimix import cli, estimation  # noqa: E402
 from workloads import SIZES, WORKLOADS  # noqa: E402
 
 COUNTED = ("_e_step", "_ascend", "_weighted_obj_derivs", "_newton_direction", "_component_parts")
+# The argument whose leading axis is the stack of components, by function.
+STACKED = {"_ascend": 2, "_weighted_obj_derivs": 0, "_component_parts": 1}
+KEYS = tuple(key for name in COUNTED
+             for key in ((name, name + ".components") if name in STACKED else (name,)))
 
 
 def counting(counts):
     """Replace each COUNTED function of ``estimation`` by a wrapper that adds 1 to
-    ``counts[name]`` per call; returns the originals."""
+    ``counts[name]`` per call, and the stack size to ``counts[name + ".components"]``
+    for the STACKED ones; returns the originals."""
     originals = {name: getattr(estimation, name) for name in COUNTED}
 
     def wrap(name, func):
         def counted(*args, **kwargs):
             counts[name] += 1
+            if name in STACKED:
+                counts[name + ".components"] += args[STACKED[name]].shape[0]
             return func(*args, **kwargs)
         return counted
 
@@ -83,7 +95,7 @@ def workload_counts(name, seed, size, directory):
     fits = [fit_line(name, index, cmd, code)
             for index, (cmd, code) in enumerate(zip(workload.cmds, codes)) if cmd.kind == "fit"]
     ok = all(c in (0, 2) for c in codes)
-    return {func_name: counts[func_name] for func_name in COUNTED}, fits, ok
+    return {key: counts[key] for key in KEYS}, fits, ok
 
 
 def main(argv=None):
