@@ -15,6 +15,14 @@ def _require_counts(**counts):
             raise ValueError("%s must be an integer >= 1, got %r" % (name, value))
 
 
+def _require_index(name, value):
+    """``value`` as an int; ValueError naming ``name`` unless it is an integer >= 0 (numpy's
+    too), not a float, string or bool that ``int`` would convert."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0):
+        raise ValueError("%s must be an integer >= 0, got %r" % (name, value))
+    return int(value)
+
+
 def _require_seed(seed):
     """``seed`` as an int; ValueError unless it is an integer in [0, 2**64), not a bool."""
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):

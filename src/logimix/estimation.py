@@ -24,14 +24,16 @@ bit for bit the one it would take alone.
 One EM step (``_em_step``) is that M-step and then the E-step at its result.
 A run (``_em_single``) is the E-step of its start and then SQUAREM cycles
 (Varadhan & Roland 2008, Scand. J. Stat.) of that step F on
-theta = (log weights, mu, log sigma).  A cycle takes two steps,
+theta = (log weights, mu, log sigma), the vector that ``mixture._to_theta``
+writes and ``mixture._from_theta`` reads back.  A cycle takes two steps,
 theta1 = F(theta0) and theta2 = F(theta1), and extrapolates to
 theta0 - 2 alpha r + alpha^2 v, with r = theta1 - theta0,
 v = theta2 - 2 theta1 + theta0 and the SqS3 steplength alpha = -||r||/||v||
-capped at -1 (alpha = -1 is theta2 itself).  That point is built as a step
-builds its weights and kept only if it is a valid model above the scale floor
-and its log-likelihood is finite and at least theta2's; otherwise the cycle
-ends at theta2 (the monotone fallback).  Only steps count: the trace holds
+capped at -1 (alpha = -1 is theta2 itself).  That point is read by
+``_from_theta``, whose weights are ``_renormalised_twice`` as a step's are,
+and kept only if it is a valid model above the scale floor and its
+log-likelihood is finite and at least theta2's; otherwise the cycle ends at
+theta2 (the monotone fallback).  Only steps count: the trace holds
 the start and one entry per step, and an extrapolation's E-step is neither a
 step nor an entry.  The run stops once a step's entry exceeds the one before
 it by less than REL_TOL * max(1, |log-likelihood|) (converged), a rise that
@@ -51,8 +53,8 @@ import numpy as np
 
 from ._util import _require_counts, log_sum_exp, rng_from_seed, spawn_seeds
 from .mixture import (
-    MixtureModel, _checked_rows, _component_log_pdfs, _model, _renormalised, _stored_model,
-    _weighted_log_pdfs, as_dataset,
+    MixtureModel, _component_log_pdfs, _from_theta, _model, _renormalised_twice, _stored_model,
+    _to_theta, _weighted_log_pdfs, as_dataset,
 )
 from .mld import _as_points, _coordinate_major, _log_pdf_parts
 
@@ -139,19 +141,27 @@ def component_log_pdf_grad(x, params):
 
         d/d mu_k       = (1/sigma_k) * (1 - (p+1) w_k)
         d/d log sigma_k = z_k * (1 - (p+1) w_k) - 1
+
+    A point with a residual z_k beyond the float range raises a ValueError: there the
+    log sigma derivative is infinite, and with several residuals at -inf the mu
+    derivatives are undetermined.
     """
     x = _as_points(x, params.p)
-    parts = _component_parts(_coordinate_major(x.reshape(-1, params.p)), params.mu[None], params.sigma[None])
+    coords = _coordinate_major(x.reshape(-1, params.p))
+    with np.errstate(over="ignore"):
+        z = (coords - params.mu[:, None]) / params.sigma[:, None]
+    if not np.isfinite(z).all():
+        raise ValueError("x has a standardized residual (x - mu) / sigma beyond the float range")
+    parts = _component_parts(coords, params.mu[None], params.sigma[None])
     base = 1.0 - (params.p + 1) * parts.w[:, 0]
     return tuple(g.T.reshape(x.shape) for g in (base / params.sigma[:, None], parts.z[:, 0] * base - 1.0))
 
 
 # The arrays of s components, each at its own (mu, sigma), that do not depend on the
 # responsibilities: sigma (s, p), the log densities (s, n), z and w (p, s, n) and the
-# stacked (2p, s, n) [w / sigma; z w], whose lower half is z w, with z and w as in
-# ``_weighted_obj_derivs``.  Component i is row i of sigma and log_pdf and column i
-# of the rest.
-_Parts = namedtuple("_Parts", "sigma log_pdf z w zw stacked")
+# stacked (2p, s, n) [w / sigma; z w], with z and w as in ``_weighted_obj_derivs``.
+# Component i is row i of sigma and log_pdf and column i of the rest.
+_Parts = namedtuple("_Parts", "sigma log_pdf z w stacked")
 
 
 def _component_parts(data, mu, sigma):
@@ -163,20 +173,19 @@ def _component_parts(data, mu, sigma):
     log_pdf, z, log_denom = _log_pdf_parts(data[:, None], mu.T, sigma.T)
     w = np.exp(-z - log_denom)
     stacked = np.concatenate([w / sigma.T[:, :, None], z * w])
-    return _Parts(sigma, log_pdf, z, w, stacked[z.shape[0]:], stacked)
+    return _Parts(sigma, log_pdf, z, w, stacked)
 
 
 def _replace(mu, parts, taken):
     """Copies of (s, p) ``mu`` and of ``parts`` in which, for each (idx, cand_mu, cand, rows)
     of ``taken``, components ``idx`` are ``cand_mu`` and the components ``rows`` of ``cand``."""
     mu = mu.copy()
-    sigma, log_pdf, z, w, stacked = (
-        a.copy() for a in (parts.sigma, parts.log_pdf, parts.z, parts.w, parts.stacked))
+    sigma, log_pdf, z, w, stacked = (a.copy() for a in parts)
     for idx, cand_mu, cand, rows in taken:
         mu[idx], sigma[idx], log_pdf[idx] = cand_mu, cand.sigma[rows], cand.log_pdf[rows]
         for a, b in ((z, cand.z), (w, cand.w), (stacked, cand.stacked)):
             a[:, idx] = b[:, rows]
-    return mu, _Parts(sigma, log_pdf, z, w, stacked[z.shape[0]:], stacked)
+    return mu, _Parts(sigma, log_pdf, z, w, stacked)
 
 
 def _row_dots(a, b):
@@ -224,8 +233,9 @@ def _weighted_obj_derivs(resp, parts):
     reads the upper triangle alone, and each cross correction is subtracted
     from both off-diagonal blocks in one scatter.
     """
-    sigma, log_pdf, z, w, zw, stacked = parts
+    sigma, log_pdf, z, w, stacked = parts
     p = sigma.shape[1]
+    zw = stacked[p:]
     total = resp.sum(axis=1)
     obj = _row_dots(resp, log_pdf) / total
     rw, rzw, rz, rzzw = (np.matmul(a.transpose(1, 0, 2), resp[:, :, None])[..., 0]
@@ -422,9 +432,7 @@ def _em_step(coords, state, floor):
     ``floor`` (p,).
     """
     mu, parts = _ascend(coords, state.resp, state.mu, state.parts, floor)
-    # Renormalised twice, as a MixtureModel built from the once-renormalised weights would
-    # store them; fits depend on that rounding.
-    weights = _renormalised(_renormalised(state.resp.sum(axis=1) / coords.shape[1]))
+    weights = _renormalised_twice(state.resp.sum(axis=1) / coords.shape[1])
     resp, loglik, _ = _e_step(weights, parts.log_pdf)
     return _State(weights, mu, parts, resp, loglik)
 
@@ -439,22 +447,8 @@ def _parts_e_step(coords, weights, mu, sigma):
 
 
 def _theta(state):
-    """SQUAREM's coordinates of ``state``: its log weights, mu and log sigma in one vector."""
-    return np.concatenate([np.log(state.weights), state.mu.ravel(), np.log(state.parts.sigma).ravel()])
-
-
-def _theta_model(theta, s, p):
-    """The (weights, mu, sigma) at finite ``theta``; a scale that overflows raises the
-    ValueError of ``_checked_rows``.  The weights are the softmax of the log weights,
-    renormalised twice as ``_em_step`` renormalises its weights."""
-    log_w, mu, log_sigma = np.split(theta, [s, s + s * p])
-    weights = np.exp(log_w - log_w.max())
-    with np.errstate(over="ignore"):
-        sigma = np.exp(log_sigma)
-    mu, sigma = _checked_rows(mu.reshape(s, p), sigma.reshape(s, p))
-    # Divided by the sum three times: extrapolated fits depend on that rounding, so none of
-    # the divisions is redundant.
-    return _renormalised(_renormalised(weights / weights.sum())), mu, sigma
+    """SQUAREM's coordinates of ``state``: ``mixture._to_theta`` of its arrays."""
+    return _to_theta(state.weights, state.mu, state.parts.sigma)
 
 
 def _steplength(r, v):
@@ -474,7 +468,7 @@ def _extrapolate(coords, theta0, theta1, state, floor):
     if alpha == -1.0 or not np.isfinite(theta).all():
         return state
     try:
-        weights, mu, sigma = _theta_model(theta, *state.mu.shape)
+        weights, mu, sigma = _from_theta(theta, *state.mu.shape)
     except ValueError:
         return state
     if not (sigma >= floor).all():

@@ -24,8 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import _require_counts, rng_from_seed, spawn_seed_chunks
-from .mixture import _model, model_to_dict
+from ._util import _require_counts, _require_index, rng_from_seed, spawn_seed_chunks
+from .mixture import _from_theta, _model, _stored_model, _to_theta, model_to_dict
 from .mld import _cdf, _scalar_or_array, _stack_components
 
 DISTINCT_GAP = 1e-3     # sup-norm gap above which two mixtures count as distinct
@@ -321,10 +321,12 @@ def vandermonde_check(mus, sigmas):
 
 def _coordinate_pair(coord_pair, p, too_few):
     """The pair (a, b) as ints, checked against p; ``too_few`` is the p < 2 message."""
-    a, b = (int(coord_pair[0]), int(coord_pair[1]))
+    if len(coord_pair) != 2:
+        raise ValueError("coord_pair must hold two coordinates, got %r" % (coord_pair,))
+    a, b = (_require_index("each coord_pair entry", c) for c in coord_pair)
     if p < 2:
         raise ValueError(too_few)
-    if not (0 <= a < p and 0 <= b < p) or a == b:
+    if not (a < p and b < p) or a == b:
         raise ValueError("coordinate pair (%d, %d) invalid for p=%d" % (a, b, p))
     return a, b
 
@@ -625,33 +627,19 @@ def identifiability_trial(p, s, shared_scale, seed, n_trials):
     }
 
 
-def _flatten_model(model):
-    theta = [np.log(model.weights)] if model.s > 1 else []
-    return np.concatenate(theta + [model._mu.ravel(), np.log(model._sigma).ravel()])
-
-
-def _unflatten_model(theta, p, s):
-    if s > 1:
-        raw = theta[:s]
-        w = np.exp(raw - raw.max())
-        w = np.maximum(w / w.sum(), 1e-9)
-        w = w / w.sum()
-    else:
-        w = np.ones(1)
-    mu, log_sigma = theta[-2 * s * p:].reshape(2, s, p)
-    return _model(w, mu, np.exp(np.clip(log_sigma, -20, 20)))
-
-
 def probe_open_problem(p, s, n_trials, seed):
     """Exploratory near-collision search for per-component-scale models.
 
     Random pairs of well-separated models (parameter distance above 0.1) are
     scored by their sup-norm cdf gap; the best pair is then refined by local
-    minimization of the gap with a penalty keeping the pair separated.  The
-    smallest gap found and the witnessing pair are reported.  A gap below
-    NEAR_GAP (reported as ``near_tol``) at parameter distance above 0.1 is
-    only flagged as a counterexample candidate for manual study, never
-    asserted as a verdict.  ``n_trials`` must be an integer >= 1.
+    minimization of the gap with a penalty keeping the pair separated:
+    Nelder-Mead over the second model's vector in SQUAREM's coordinates
+    (``mixture._to_theta``), with no clip and weights floored at WEIGHT_FLOOR;
+    a vertex whose scale leaves the float range scores 10.  The smallest gap
+    found and the witnessing pair are reported.  A gap below NEAR_GAP
+    (reported as ``near_tol``) at parameter distance above 0.1 is only flagged
+    as a counterexample candidate for manual study, never asserted as a
+    verdict.  ``n_trials`` must be an integer >= 1.
     """
     _require_counts(p=p, s=s, n_trials=n_trials)
     p, s, n_trials = int(p), int(s), int(n_trials)
@@ -679,7 +667,7 @@ def probe_open_problem(p, s, n_trials, seed):
 
     def objective(theta):
         try:
-            cand = _unflatten_model(theta, p, s)
+            cand = _stored_model(*_from_theta(theta, s, p))
         except ValueError:
             return 10.0
         rep = mixture_equality_test(m1, cand)
@@ -688,10 +676,10 @@ def probe_open_problem(p, s, n_trials, seed):
     from scipy.optimize import minimize
 
     res = minimize(
-        objective, _flatten_model(m2), method="Nelder-Mead",
+        objective, _to_theta(m2.weights, m2._mu, m2._sigma), method="Nelder-Mead",
         options={"maxiter": 300, "xatol": 1e-8, "fatol": 1e-14},
     )
-    refined = _unflatten_model(res.x, p, s)
+    refined = _stored_model(*_from_theta(res.x, s, p))
     rep = mixture_equality_test(m1, refined)
     if rep.max_param_gap >= MIN_PARAM_GAP and rep.sup_norm_cdf_gap <= gap0:
         smallest, final_dist, witness = rep.sup_norm_cdf_gap, rep.max_param_gap, (m1, refined)

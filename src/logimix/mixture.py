@@ -76,6 +76,12 @@ def _renormalised(weights):
     return np.maximum(weights / weights.sum(), WEIGHT_FLOOR)
 
 
+def _renormalised_twice(weights):
+    """The weights a MixtureModel built from ``_renormalised(weights)`` stores; every EM
+    step and SQUAREM point takes its weights through here, and fits depend on that rounding."""
+    return _renormalised(_renormalised(weights))
+
+
 def _checked_weights(weights, s):
     """``weights`` as a new (s,) float array; ValueError unless they lie in
     [WEIGHT_FLOOR, 1] and sum to 1 within WEIGHT_SUM_TOL."""
@@ -103,8 +109,9 @@ def _fill(model, weights, mu, sigma):
 def _checked_rows(mu, sigma):
     """Read-only copies of (s, p) ``mu`` and of ``sigma``, broadcast to its shape, checked
     as ``MldParams`` checks each row, with its messages."""
-    mu = np.array(mu, dtype=float)
-    sigma = np.array(np.broadcast_to(sigma, mu.shape), dtype=float)
+    mu, given = np.array(mu, dtype=float), sigma
+    sigma = np.empty(mu.shape)
+    sigma[...] = given  # a broadcast copy, at a third of np.array(np.broadcast_to(...))'s cost
     if not np.isfinite(mu).all():
         raise ValueError("mu must be finite")
     if not np.isfinite(sigma).all() or (sigma <= 0.0).any():
@@ -112,6 +119,22 @@ def _checked_rows(mu, sigma):
     mu.setflags(write=False)
     sigma.setflags(write=False)
     return mu, sigma
+
+
+def _to_theta(weights, mu, sigma):
+    """A mixture's unconstrained vector: its (s,) log weights, (s, p) ``mu``, then log ``sigma``."""
+    return np.concatenate([np.log(weights), mu.ravel(), np.log(sigma).ravel()])
+
+
+def _from_theta(theta, s, p):
+    """The (weights, mu, sigma) of a finite ``_to_theta`` vector: softmax weights, then
+    ``_renormalised_twice``; a scale beyond the float range raises ``_checked_rows``' ValueError."""
+    log_w, mu, log_sigma = theta[:s], theta[s:s + s * p], theta[s + s * p:]
+    weights = np.exp(log_w - log_w.max())
+    with np.errstate(over="ignore"):
+        sigma = np.exp(log_sigma)
+    mu, sigma = _checked_rows(mu.reshape(s, p), sigma.reshape(s, p))
+    return _renormalised_twice(weights / weights.sum()), mu, sigma
 
 
 def _model(weights, mu, sigma):
@@ -131,7 +154,8 @@ def _stored_model(weights, mu, sigma):
     """``_model`` for weights that are already ``_renormalised``: they are checked, then
     stored as they are, where ``_model`` would renormalise them once more.
 
-    EM builds its result here, so the model keeps the weights its last E-step used.
+    Two callers: EM's result, which keeps the weights its last E-step used, and each
+    candidate of ``identifiability.probe_open_problem``, read by ``_from_theta``.
     """
     mu, sigma = _checked_rows(mu, sigma)
     return _fill(MixtureModel.__new__(MixtureModel), _checked_weights(weights, mu.shape[0]), mu, sigma)

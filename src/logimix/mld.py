@@ -40,7 +40,7 @@ from math import lgamma
 
 import numpy as np
 
-from ._util import _require_counts, log1p_sum_exp_neg, open_uniform, rng_from_seed
+from ._util import _require_counts, _require_index, log1p_sum_exp_neg, open_uniform, rng_from_seed
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,8 +222,8 @@ def marginal_cdf(xk, params, k):
 
     Equals the joint cdf with every other coordinate sent to +infinity.
     """
-    k = int(k)
-    if not 0 <= k < params.p:
+    k = _require_index("k", k)
+    if k >= params.p:
         raise ValueError("coordinate index %d out of range for p=%d" % (k, params.p))
     xk = np.asarray(xk, dtype=float)
     if not np.all(np.isfinite(xk)):
@@ -249,9 +249,7 @@ def conditional_quantile(u, s_accum, j):
         raise ValueError("u must lie strictly inside (0, 1)")
     if not np.all(s_accum >= 1.0):
         raise ValueError("s_accum must be at least 1")
-    j = int(j)
-    if j < 0:
-        raise ValueError("j must be non-negative")
+    j = _require_index("j", j)
     # expm1 keeps precision as u -> 1 where b -> 0.
     out = s_accum * np.expm1(-np.log(u) / (j + 1.0))
     return _scalar_or_array(out)

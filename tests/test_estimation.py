@@ -6,7 +6,7 @@ import logimix as lm
 from logimix import estimation
 from logimix._util import rng_from_seed
 from logimix.estimation import _ascend, _component_parts, _newton_direction, _weighted_obj_derivs
-from logimix.mixture import WEIGHT_FLOOR, _model, _stored_model
+from logimix.mixture import WEIGHT_FLOOR, _from_theta, _model, _stored_model
 from logimix.mld import _coordinate_major
 
 from oracles import fd_log_pdf_gradients
@@ -136,6 +136,17 @@ class TestGradients:
         g_mu, g_ls = lm.component_log_pdf_grad(x, lm.MldParams(np.zeros(p), np.ones(p)))
         assert g_mu[0] == -p and g_ls[0] == -p * np.atleast_1d(x)[0] - 1.0
         assert np.isfinite(g_mu).all() and np.isfinite(g_ls).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("x, sigma", [
+        ([-1e300, 0.0], [1e-10, 1.0]), (-1e300, [1e-10]), (1e308, [0.5]),
+        ([[0.0, 0.0], [1.0, 1e308]], [1.0, 1e-10]),
+    ])
+    def test_residual_beyond_the_float_range_raises(self, x, sigma):
+        # There the log sigma derivative is infinite; the result was NaN, or a warning.
+        params = lm.MldParams(np.zeros(len(sigma)), sigma)
+        with pytest.raises(ValueError, match="^x has a standardized residual"):
+            lm.component_log_pdf_grad(x, params)
 
 
 class TestInit:
@@ -519,7 +530,7 @@ class TestEmFit:
         assert stepped._mu[0, 0] != 0.0
 
     def test_extrapolated_weight_below_the_floor_is_floored(self):
-        weights, _, _ = estimation._theta_model(np.array([0.0, -80.0, 0.0, 5.0, 0.0, 0.0]), 2, 1)
+        weights, _, _ = _from_theta(np.array([0.0, -80.0, 0.0, 5.0, 0.0, 0.0]), 2, 1)
         assert weights[1] == WEIGHT_FLOOR
 
     def test_step_at_the_cap_is_tested_for_convergence(self):

@@ -10,7 +10,7 @@ import logimix as lm
 from logimix import identifiability
 from logimix._util import rng_from_seed, spawn_seed_chunks, spawn_seeds
 from logimix.identifiability import _param_distance_matrix
-from logimix.mixture import model_from_dict, model_to_dict
+from logimix.mixture import _to_theta, model_from_dict, model_to_dict
 from logimix.mld import _cdf, _stack_components
 
 
@@ -442,9 +442,20 @@ class TestSeparatingOffsets:
         comps = (lm.MldParams([0.0, 0.0], [1.0, 1.0]),)
         with pytest.raises(ValueError, match="need at least two coordinates$"):
             lm.find_separating_offsets((mld1(0.0, 1.0),), (0, 1), seed=0)
-        for pair in ((0, 0), (0, 2), (-1, 1)):
+        for pair in ((0, 0), (0, 2)):
             with pytest.raises(ValueError, match=r"coordinate pair \(%d, %d\) invalid for p=2" % pair):
                 lm.find_separating_offsets(comps, pair, seed=0)
+        with pytest.raises(ValueError, match="^each coord_pair entry must be an integer >= 0, got -1$"):
+            lm.find_separating_offsets(comps, (-1, 1), seed=0)
+
+    @pytest.mark.parametrize("pair, bad", [
+        ((0.2, 1.9), "0.2"), ((0, 1.0), "1.0"), (("0", 1), "'0'"), ((True, 0), "True"),
+        ((0, np.nan), "nan"),
+    ])
+    def test_rejects_coordinates_that_are_not_integers(self, pair, bad):
+        comps = (lm.MldParams([0.0, 0.0], [1.0, 1.0]), lm.MldParams([1.0, 0.0], [1.0, 1.0]))
+        with pytest.raises(ValueError, match="^each coord_pair entry must be an integer >= 0, got %s$" % re.escape(bad)):
+            lm.find_separating_offsets(comps, pair, seed=0)
 
 
 class TestCollapse:
@@ -517,6 +528,15 @@ class TestCollapse:
         for pair in ((1, 1), (2, 0)):
             with pytest.raises(ValueError, match=r"coordinate pair \(%d, %d\) invalid for p=2" % pair):
                 lm.collapse_pair(m, pair, 0.0, 0.0)
+
+    def test_rejects_coordinates_that_are_not_an_integer_pair(self):
+        m = lm.MixtureModel([1.0], (lm.MldParams([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]),))
+        for pair in ((0.7, 1.2), (0, True), (0, "2")):
+            with pytest.raises(ValueError, match="^each coord_pair entry must be an integer >= 0, got "):
+                lm.collapse_pair(m, pair, 0.0, 0.0)
+        with pytest.raises(ValueError, match=re.escape("coord_pair must hold two coordinates, got (0, 1, 2)")):
+            lm.collapse_pair(m, (0, 1, 2), 0.0, 0.0)
+        assert lm.collapse_pair(m, np.array([2, 0], dtype=np.uint8), 0.0, 0.0).p == 2
 
 
 class TestEqualityTest:
@@ -676,7 +696,7 @@ class TestCdfGaps:
         for seed in (2, 31):
             gap, dist, m1, m2 = reference_probe_start(p, s, n_trials, seed)
             report = lm.probe_open_problem(p, s, n_trials, seed)
-            assert np.array_equal(started.pop(), identifiability._flatten_model(m2))
+            assert np.array_equal(started.pop(), _to_theta(m2.weights, m2._mu, m2._sigma))
             assert (report["smallest_gap"], report["param_distance"]) == (gap, dist)
             assert report["witness_pair"] == [model_to_dict(m1), model_to_dict(m2)]
 

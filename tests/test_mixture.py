@@ -107,6 +107,29 @@ class TestModelValidation:
             assert not arr.flags.writeable
 
 
+class TestThetaCodec:
+    def test_round_trip(self):
+        # Over 20 000 such draws the weights came back within 8 ulps and sigma within 1 ulp;
+        # the bounds below leave room for another libm's exp and log.  mu is copied as is.
+        rng = np.random.default_rng(17)
+        for _ in range(500):
+            s, p = (int(v) for v in rng.integers(1, [7, 5]))
+            w = rng.dirichlet(np.full(s, 0.5)) + 1e-3
+            m = _model(w / w.sum(), rng.normal(0.0, 10.0, (s, p)), np.exp(rng.uniform(-20.0, 20.0, (s, p))))
+            weights, mu, sigma = mixture._from_theta(mixture._to_theta(m.weights, m._mu, m._sigma), s, p)
+            assert np.array_equal(mu, m._mu)
+            assert (np.abs(sigma - m._sigma) <= 2 * np.spacing(m._sigma)).all()
+            assert (np.abs(weights - m.weights) <= 16 * np.spacing(m.weights)).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("log_sigma", [800.0, -800.0])
+    def test_scale_beyond_the_float_range_raises(self, log_sigma):
+        theta = mixture._to_theta(np.array([0.25, 0.75]), np.zeros((2, 2)), np.ones((2, 2)))
+        theta[-2] = log_sigma
+        with pytest.raises(ValueError, match="^sigma must be finite and strictly positive$"):
+            mixture._from_theta(theta, 2, 2)
+
+
 class TestEvaluation:
     def test_single_component_equals_component(self):
         comp = lm.MldParams([0.7, -0.1], [1.1, 0.9])

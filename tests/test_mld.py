@@ -1,3 +1,4 @@
+import re
 import warnings
 from functools import reduce
 from math import lgamma
@@ -324,6 +325,18 @@ class TestMarginals:
         with pytest.raises(ValueError):
             lm.marginal_cdf(0.0, params, 1)
 
+    @pytest.mark.parametrize("k, shown", [
+        (0.9, "0.9"), (1.0, "1.0"), ("0", "'0'"), (True, "True"), (np.nan, "nan"), (-1, "-1"),
+    ])
+    def test_index_that_is_not_an_integer_is_rejected(self, k, shown):
+        params = lm.MldParams([5.0, 0.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="^k must be an integer >= 0, got %s$" % re.escape(shown)):
+            lm.marginal_cdf(0.0, params, k)
+
+    def test_numpy_integer_index_is_accepted(self):
+        params = lm.MldParams([5.0, 0.0], [1.0, 1.0])
+        assert lm.marginal_cdf(0.0, params, np.int64(1)) == lm.marginal_cdf(0.0, params, 1) == 0.5
+
     def test_one_dimensional_marginal_is_the_joint_cdf_bit_for_bit(self):
         params = lm.MldParams([0.3], [0.7])
         x = np.linspace(-800.0, 800.0, 20001)
@@ -353,6 +366,11 @@ class TestConditionalQuantile:
         for u in (0.0, 1.0, -0.2, 1.3, np.nan):
             with pytest.raises(ValueError):
                 lm.conditional_quantile(u, 1.0, 0)
+
+    @pytest.mark.parametrize("j, shown", [(0.5, "0.5"), (1.0, "1.0"), (False, "False"), (-1, "-1"), ("1", "'1'")])
+    def test_rejects_an_index_that_is_not_an_integer(self, j, shown):
+        with pytest.raises(ValueError, match="^j must be an integer >= 0, got %s$" % re.escape(shown)):
+            lm.conditional_quantile(0.5, 1.0, j)
 
     def test_rejects_bad_s_accum(self):
         for s_accum in (0.5, np.nan):
