@@ -27,6 +27,7 @@ from .identifiability import (
 )
 from .mixture import (
     _dataset_chunks,
+    _float_text,
     _row_blocks,
     _row_chunks,
     load_dataset,
@@ -96,7 +97,7 @@ def _cmd_sample(args):
     header = "drawn by 'logimix sample', seed=%d" % args.seed
     outputs = [(args.out, _dataset_chunks(data, header=header))]
     if args.labels:
-        outputs.append((args.labels, _row_chunks(labels, "%d\n")))
+        outputs.append((args.labels, _row_chunks(labels[:, None])))
     # Both files or neither, as in eval.
     write_texts_atomic(outputs)
     return 0
@@ -104,15 +105,13 @@ def _cmd_sample(args):
 
 def _eval_report_chunks(head, rows):
     """``_json_text`` of ``head`` with ``rows`` as its last entry, "per_row_log_pdf", in
-    ROW_BLOCK blocks; non-finite values become null, as ``_sanitize`` writes them.
-    Only a block that holds one goes through ``_sanitize``."""
+    ROW_BLOCK blocks.  Each value is its ``repr``, as ``json.dumps`` writes it, and null if it
+    is not finite, as ``_sanitize`` has it: orjson's text with ``repr`` spliced in (``_float_text``)."""
     text = _json_text({**head, "per_row_log_pdf": []})
     yield text[:-len("]\n}\n")]
     for i, block in enumerate(_row_blocks(rows.size)):
-        part = rows[block]
-        vals = part.tolist() if np.isfinite(part).all() else _sanitize(part.tolist())
-        vals = json.dumps(vals, separators=(",\n    ", ": "))
-        yield ("," if i else "") + "\n    " + vals[1:-1]
+        yield ("," if i else "") + "\n    "
+        yield _float_text(rows[block, None], b",\n    ")
     yield "\n  ]\n}\n"
 
 

@@ -379,7 +379,8 @@ def init_params(data, s, seed, strategy="quantile"):
     scale = _moment_scale(data)
     if strategy == "quantile":
         qs = (np.arange(s) + 0.5) / s
-        centers = np.quantile(data, qs, axis=0)
+        # Halved so that interpolating near +-max float cannot overflow; exact barring subnormals.
+        centers = 2.0 * np.quantile(0.5 * data, qs, axis=0)
     else:
         distinct = _distinct_rows(data)
         if distinct.shape[0] < s:
@@ -510,13 +511,16 @@ def em_fit(data, config):
     "quantile" for r = 0 and "random-rows" after; ``n_iter`` counts the steps of
     the returned run, and ``loglik_trace`` holds its start and one entry per step.
     Returns the restart with the best final log-likelihood; ties closer than 1e-12
-    go to the lowest restart index.  Fewer than s distinct rows raise a ValueError.
+    go to the lowest restart index.  Fewer than s distinct rows raise a ValueError, as
+    does data whose scale floor (SCALE_FLOOR * ``_moment_scale``) is not a normal float.
     """
     data = as_dataset(data)
     n_distinct = _distinct_rows(data).shape[0]
     if n_distinct < config.s:
         raise ValueError("data has %d distinct rows, fewer than s=%d" % (n_distinct, config.s))
     floor = SCALE_FLOOR * _moment_scale(data)
+    if (floor < np.finfo(float).tiny).any():
+        raise ValueError("data spreads too little to fit: its scale floor %s is not a normal float" % floor)
     best = None
     for r, restart_seed in enumerate(spawn_seeds(config.seed, config.n_restarts)):
         strategy = "quantile" if r == 0 else "random-rows"

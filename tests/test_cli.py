@@ -8,11 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import logimix as lm
 from logimix import cli, mixture
 from logimix.cli import run
 from logimix.identifiability import _evaluation_grid
+
+from test_mixture import FINITE_FLOATS
 
 # Row counts around the block size that the tests below patch ROW_BLOCK down to.
 B = 4
@@ -123,6 +127,19 @@ def test_blocked_report_writes_non_finite_rows_as_null(monkeypatch, n):
             v if np.isfinite(v) else None for v in rows.tolist()]
 
 
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(hnp.arrays(np.float64, st.integers(1, 12),
+                  elements=st.one_of(FINITE_FLOATS, st.sampled_from([np.nan, np.inf, -np.inf]))),
+       st.integers(1, 4))
+def test_report_text_is_json_of_every_float(rows, block):
+    # Blocks of 1 to 4 rows, so a spliced value or a null falls at a block edge.
+    head = {"seed": 1, "n": rows.size, "total_log_likelihood": -1.5}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mixture, "ROW_BLOCK", block)
+        text = "".join(cli._eval_report_chunks(head, rows))
+    assert text == one_pass_report({**head, "per_row_log_pdf": rows.tolist()})
+
+
 def test_sample_then_eval_memory_is_bounded_by_the_blocks(tmp_path):
     # Whole-file texts traced 24.9 MiB here; the blocks trace 8.6 MiB, mostly the
     # sampled rows and labels and the loaded dataset.
@@ -189,6 +206,14 @@ def test_check_id_gram_never_loads_scipy(model_path, tmp_path):
     ])
     assert codes == [0]
     assert loaded == []
+
+
+def test_import_never_loads_orjson():
+    script = "import sys, logimix.cli; print('orjson' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(lm.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.split() == ["False"]
 
 
 def test_sample_writes_labels(model_path, tmp_path):

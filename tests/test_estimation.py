@@ -196,6 +196,23 @@ class TestInit:
         expected = data.std(axis=0) * np.sqrt(3.0) / np.pi
         assert np.array_equal(m.components[0].sigma, expected)
 
+    def test_quantile_centres_are_the_rows_quantiles(self):
+        rng = np.random.default_rng(8)
+        qs = (np.arange(3) + 0.5) / 3
+        for data in (rng.normal(size=(100, 2)), np.ldexp(rng.logistic(size=(99, 3)), 60)):
+            model = lm.init_params(data, 3, seed=0, strategy="quantile")
+            assert np.array_equal(model._mu, np.quantile(data, qs, axis=0))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_quantile_start_between_max_floats(self):
+        # Interpolating between the rows overflowed in np.quantile, and the fit then
+        # failed with "mu must be finite".
+        data = np.array([[1e308], [-1e308]])
+        assert lm.init_params(data, 1, seed=0, strategy="quantile")._mu[0, 0] == 0.0
+        res = lm.em_fit(data, lm.FitConfig(s=1, n_restarts=1))
+        assert res.converged and np.isfinite(res.loglik_trace).all()
+        assert np.isfinite(res.model._mu).all() and np.isfinite(res.model._sigma).all()
+
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             lm.init_params(np.zeros((5, 1)), 1, seed=0, strategy="kmeans")
@@ -587,6 +604,11 @@ class TestEmFit:
             # The stopping rule leaves each fit within 1e-4 nats of the others.
             assert res.loglik_trace[-1] + 400 * k * np.log(2.0) == pytest.approx(want, abs=1e-3)
             assert (res.model._sigma > 1e3 * scale_floor(data)).all()
+        # Below a spread of about 2e-302 the floor is not a normal float: the rows
+        # 5e-324, 0, 1e-323 had a floor of 0 and "converged" at sigma = 5e-324.
+        for rows in ([[5e-324], [0.0], [1e-323]], np.ldexp(x, -1030), np.ldexp(x, -1010)):
+            with pytest.raises(ValueError, match="data spreads too little to fit"):
+                lm.em_fit(rows, config)
 
     def test_deterministic_given_seed(self):
         data, _ = lm.sample_mixture(reference_model(), 600, seed=39)

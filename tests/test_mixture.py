@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import logimix as lm
 from logimix import mixture
@@ -425,6 +427,16 @@ class TestPersistence:
         assert loaded.weights.sum() == pytest.approx(1.0, abs=1e-15)
 
 
+# Finite floats, with every edge of the window where repr writes fixed notation, 1e-4 <= |x|
+# < 1e16, and the extremes: subnormals, +-0, the smallest normal and the largest float.
+_EDGES = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308] + [
+    np.nextafter(edge, toward) for edge in (1e-4, 1e16) for toward in (0.0, edge, np.inf)]
+FINITE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(_EDGES + [-v for v in _EDGES]),
+)
+
+
 class TestDatasetIo:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(17)
@@ -446,6 +458,19 @@ class TestDatasetIo:
         if header is not None:
             lines.insert(0, "# " + header)
         assert path.read_text() == "\n".join(lines) + "\n"
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 9), st.integers(1, 4)),
+                      elements=FINITE_FLOATS),
+           st.integers(1, 4))
+    def test_text_is_repr_of_every_float(self, data, block):
+        # Blocks of 1 to 4 rows, so a spliced value falls at block and row edges.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mixture, "ROW_BLOCK", block)
+            text = "".join(mixture._dataset_chunks(data))
+            assert "".join(mixture._dataset_chunks(np.asfortranarray(data))) == text
+        row_format = ",".join(["%r"] * data.shape[1]) + "\n"
+        assert text == "".join(row_format % tuple(row) for row in data.tolist())
 
     def test_comment_lines_skipped(self, tmp_path):
         path = tmp_path / "data.csv"

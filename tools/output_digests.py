@@ -9,8 +9,11 @@ component-permuted copy, ``collapse`` of a shared-scale p = 2 model,
 ``check-id --mode gram`` of the p = 1 and p = 2 models,
 ``check-id --mode vandermonde`` of four distinct nodes, and ``fit`` of seven
 rows with s = 5 and of fifty identical rows with s = 1, where the scale floor
-binds, each followed by an ``eval`` that loads the fitted model again), on
-models, nodes and rows drawn here from the seed.  It prints one line per
+binds, each followed by an ``eval`` that loads the fitted model again, and a
+``sample`` and an ``eval`` of a p = 2 model with locations 0 and 1e17, whose
+values ``repr`` writes in exponent notation and whose eval rows include ones
+where every log density is -inf, written null), on models, nodes and rows
+drawn here from the seed.  It prints one line per
 output file: workload (or "extra"), command index and kind, exit code, file
 name and SHA-1.  Two checkouts print the same lines exactly when every command exits
 the same way and writes the same bytes, so a change that must keep every
@@ -68,6 +71,13 @@ def extra_commands(seed, size, directory):
     node_mus, node_sigmas = rng.uniform([[-2.0], [0.5]], [[2.0], [2.0]], (2, 4))
     write_rows(path("seven.csv"), rng.normal(size=(7, 1)))
     write_rows(path("identical.csv"), np.full((50, 1), rng.normal()))
+    # Draws that repr writes in exponent notation, |x| < 1e-4 and |x| >= 1e16, and rows at
+    # which every component's residual overflows, so that a log density is -inf.
+    far_mu = np.array([[0.0, 1e17], [1e17, 0.0]])
+    write_model(path("far.json"), np.array([0.4, 0.6]), far_mu, np.where(far_mu == 0.0, 1e-9, 1e3))
+    write_rows(path("far.csv"), np.concatenate([
+        far_mu + rng.normal(size=(2, 2)) * [[1e-9, 1e3], [1e3, 1e-9]],
+        [[1e300, 1e300], [-1e300, 0.0], [1e-300, 1e17]]]))
     return [
         (["sample", "--model", path("p1.json"), "--n", str(EXTRA_ROWS[size]), "--seed", str(seed),
           "--out", path("rows.csv"), "--labels", path("labels.csv")],
@@ -99,7 +109,14 @@ def extra_commands(seed, size, directory):
         (["eval", "--model", path(rows + "-model.json"), "--data", path(rows + ".csv"),
           "--seed", str(seed), "--out", path(rows + "-eval.json")],
          (path(rows + "-eval.json"),)),
-    )]
+    )] + [
+        (["sample", "--model", path("far.json"), "--n", str(EXTRA_ROWS[size]), "--seed", str(seed),
+          "--out", path("far-rows.csv")],
+         (path("far-rows.csv"),)),
+        (["eval", "--model", path("far.json"), "--data", path("far.csv"), "--seed", str(seed),
+          "--out", path("far-eval.json")],
+         (path("far-eval.json"),)),
+    ]
 
 
 def digest_lines(seed, size, workdir):
